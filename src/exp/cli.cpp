@@ -1,8 +1,11 @@
 #include "exp/cli.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 
 #include "exp/analyze/analyze.h"
 #include "exp/compare/compare.h"
@@ -152,10 +155,28 @@ void print_spec_preamble(const ExperimentSpec& spec, const Scale& scale,
   std::printf("sweep: %zu runs on %zu thread(s)\n\n", runs, jobs);
 }
 
+/// Rejects an output directory that is missing or not writable, so a
+/// bad path fails before the sweep instead of after it.
+void require_writable_dir(const std::string& dir, const std::string& flag) {
+  std::error_code ec;
+  require(std::filesystem::is_directory(dir, ec),
+          flag + " is not an existing directory: " + dir);
+  require(::access(dir.c_str(), W_OK | X_OK) == 0,
+          flag + " directory is not writable: " + dir);
+}
+
 /// Runs one spec end to end; returns the number of failed runs.
 std::size_t run_one(const ExperimentSpec& spec, const CliOptions& cli) {
   SweepOptions sweep = cli.sweep;
   sweep.out_dir = cli.out_dir;
+  // --out even under --no-json: traces and per-flow CSVs land there too.
+  require_writable_dir(cli.out_dir, "--out");
+  if (!cli.baselines_dir.empty()) {
+    require_writable_dir(cli.baselines_dir, "--update-baselines");
+  }
+  if (!sweep.trace_dir.empty()) {
+    require_writable_dir(sweep.trace_dir, "--trace-out");
+  }
   const bool sharded = sweep.shard_count > 1;
   require(!sharded || cli.baselines_dir.empty(),
           "--update-baselines cannot be combined with --shard: merge the "

@@ -56,7 +56,8 @@ RunOutcome run_link_churn(const RunContext& ctx) {
   channels.reserve(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<Reflector>(
-        sim, static_cast<NodeId>(i), "r" + std::to_string(i)));
+        sim, static_cast<NodeId>(i),
+        std::string("r").append(std::to_string(i))));
     channels.push_back(
         std::make_unique<Channel>(sim.scheduler(), Time::micros(5)));
   }

@@ -51,17 +51,17 @@ struct PortCounters {
 class Channel;
 
 /// Buffer of cross-domain deliveries emitted by one source domain during
-/// one parallel window.  Single-writer (only that domain's worker posts)
-/// and drained by the barrier: entries from every outbox are sorted by
-/// (arrival time, source domain, emission seq) and inserted into the
-/// destination schedulers in that canonical order, so event sequence
-/// numbers — and therefore the whole run — do not depend on the worker
-/// count.
+/// one parallel window (the network keeps one per source and destination
+/// domain).  Single-writer (only that domain's worker posts) and drained
+/// by the barrier: entries bound for one destination are sorted by
+/// (arrival time, source domain, emission seq) and inserted into its
+/// scheduler in that canonical order, so event sequence numbers — and
+/// therefore the whole run — do not depend on the worker count.
 class CrossDomainOutbox {
  public:
   struct Entry {
     Time at;                    ///< arrival time at the destination
-    std::uint64_t seq = 0;      ///< source-domain emission order
+    std::uint64_t seq = 0;      ///< emission order within this outbox
     Channel* channel = nullptr;
     Packet pkt;
   };

@@ -38,6 +38,7 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
 Engine::Engine(Simulation& sim, Time lookahead, unsigned workers)
     : sim_(sim), lookahead_(lookahead), workers_(std::max(1u, workers)) {
   if (sim_.num_domains() > 0) {
+    tags_ = std::make_unique<Tag[]>(sim_.num_domains());
     check(lookahead_ > Time::zero(),
           "parallel engine needs a positive lookahead");
     workers_ = std::min<unsigned>(
@@ -69,8 +70,9 @@ Engine::~Engine() {
 void Engine::ensure_pool() {
   if (workers_ <= 1 || !pool_.empty()) return;
   pool_.reserve(workers_ - 1);
-  for (unsigned i = 0; i + 1 < workers_; ++i) {
-    pool_.emplace_back([this] { worker_main(); });
+  // The calling thread is home 0; pool thread i is home i + 1.
+  for (unsigned home = 1; home < workers_; ++home) {
+    pool_.emplace_back([this, home] { worker_main(home); });
   }
 }
 
@@ -79,8 +81,13 @@ void Engine::relax_or_park(const Pred& pred) {
   for (int spins = 0; spins < 64; ++spins) {
     if (pred()) return;
   }
-  for (int yields = 0; yields < 64; ++yields) {
-    if (pred()) return;
+  // Then yield until the idle budget runs out.  The budget outlasts the
+  // main thread's serial stretch between windows (barrier hook, probes,
+  // control window): a worker that parked there would pay a futex
+  // wakeup every window and arrive to find its home domains stolen.
+  const auto deadline = std::chrono::steady_clock::now() + kIdleBudget;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::yield();
   }
   // Budget exhausted: park.  The predicate re-check runs under park_mu_,
@@ -93,7 +100,7 @@ void Engine::relax_or_park(const Pred& pred) {
   --parked_;
 }
 
-void Engine::worker_main() {
+void Engine::worker_main(unsigned home) {
   std::uint64_t seen = 0;
   for (;;) {
     relax_or_park([&] {
@@ -104,24 +111,64 @@ void Engine::worker_main() {
     const std::uint64_t epoch =
         claim_.load(std::memory_order_acquire) >> kEpochShift;
     seen = claim_and_run(
-        epoch, Time::nanos(window_end_ns_.load(std::memory_order_acquire)));
+        home, epoch,
+        Time::nanos(window_end_ns_.load(std::memory_order_acquire)));
   }
 }
 
-std::uint64_t Engine::claim_and_run(std::uint64_t epoch, Time end) {
+bool Engine::take(std::size_t d, std::uint64_t epoch) {
+  std::atomic<std::uint64_t>& tag = tags_[d].word;
+  // Plain load first: most failed takes (quiet or already-started
+  // domains) then never pull the tag's cache line in exclusive mode.
+  std::uint64_t expected = epoch;
+  if (tag.load(std::memory_order_relaxed) != expected) return false;
+  return tag.compare_exchange_strong(expected, epoch | kTaken,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_relaxed);
+}
+
+void Engine::run_task(std::size_t d, Time end) {
+  Scheduler& sched = sim_.domain_scheduler(d);
+  par::ScopedDomain scope(&sched, static_cast<int>(d));
+  if (end.ns() == kHookBatch) {
+    domain_hook_(d);
+  } else {
+    sched.run_window(end);
+  }
+}
+
+void Engine::run_domain(std::size_t d, Time end) {
+  run_task(d, end);
+  domains_done_.fetch_add(1, std::memory_order_release);
+}
+
+std::uint64_t Engine::claim_and_run(unsigned home, std::uint64_t epoch,
+                                    Time end) {
+  // Home pass.  A successful take proves `epoch` is still the published
+  // window (its tag is only ever set for the epoch being published, and
+  // the main thread cannot move on while the domain is unfinished), so
+  // `end` — read after observing `epoch` — is that window's end.  When
+  // `epoch` is stale every take fails and the steal pass below adopts
+  // the current window.
+  const std::size_t n = sim_.num_domains();
+  for (std::size_t d = home; d < n; d += workers_) {
+    if (take(d, epoch)) run_domain(d, end);
+  }
+  // Steal pass: walk the busiest-first claim list for domains whose
+  // home thread has not started them yet.
   for (;;) {
     const std::uint64_t word = claim_.fetch_add(1, std::memory_order_acq_rel);
     if ((word >> kEpochShift) != epoch) {
-      // Stale claim across a barrier: the main thread saw every active
-      // domain of `epoch` done, ran the barrier hook and republished
-      // claim_ before this fetch_add landed, so the claim we just
-      // consumed belongs to the *new* window.  Adopt it — the acquire
-      // above synchronises with that release publish, ordering us after
-      // the hook's insertions and the order_ rewrite — and re-read the
-      // new window end (stable: the main thread cannot republish again
-      // while this claim's domain is unfinished).  Running it with the
-      // old `end` instead would silently truncate the domain's new
-      // window and race with the hook's heap mutations.
+      // Stale claim across a barrier: the main thread saw every slot of
+      // `epoch` handled, ran the barrier hook and republished claim_
+      // before this fetch_add landed, so the claim we just consumed
+      // belongs to the *new* window.  Adopt it — the acquire above
+      // synchronises with that release publish, ordering us after the
+      // hook's insertions and the order_ rewrite — and re-read the new
+      // window end (stable: the main thread cannot republish again
+      // while this claim's slot is unhandled).  Running it with the old
+      // `end` instead would silently truncate the domain's new window
+      // and race with the hook's heap mutations.
       epoch = word >> kEpochShift;
       end = Time::nanos(window_end_ns_.load(std::memory_order_acquire));
     }
@@ -130,36 +177,36 @@ std::uint64_t Engine::claim_and_run(std::uint64_t epoch, Time end) {
     const std::size_t idx = static_cast<std::size_t>(word & kFieldMask);
     if (idx >= count) return epoch;
     // A sub-count index proves the publisher is still waiting on
-    // domains_done_ < count, so order_ is frozen: plain read is safe.
+    // slots_done_ < count, so order_ is frozen: plain read is safe.
     const std::size_t d = order_[idx];
-    Scheduler& sched = sim_.domain_scheduler(d);
-    {
-      par::ScopedDomain scope(&sched, static_cast<int>(d));
-      sched.run_window(end);
-    }
-    domains_done_.fetch_add(1, std::memory_order_release);
+    if (take(d, epoch)) run_domain(d, end);
+    slots_done_.fetch_add(1, std::memory_order_release);
   }
 }
 
 void Engine::run_domains(Time end) {
   const std::size_t count = order_.size();
   if (workers_ <= 1) {
-    for (const std::size_t d : order_) {
-      Scheduler& sched = sim_.domain_scheduler(d);
-      par::ScopedDomain scope(&sched, static_cast<int>(d));
-      sched.run_window(end);
-    }
+    for (const std::size_t d : order_) run_task(d, end);
     return;
   }
   ensure_pool();
   window_end_ns_.store(end.ns(), std::memory_order_relaxed);
   domains_done_.store(0, std::memory_order_relaxed);
+  slots_done_.store(0, std::memory_order_relaxed);
   // Single release store publishes the window: bumps the epoch, carries
-  // the active-domain count and resets the claim index atomically.
+  // the active-domain count and resets the claim index atomically.  The
+  // active domains' tags are armed with the epoch as workers will read
+  // it back from the claim word.
   ++epoch_;
-  claim_.store((epoch_ << kEpochShift) |
-                   (static_cast<std::uint64_t>(count) << kCountShift),
-               std::memory_order_release);
+  const std::uint64_t word =
+      (epoch_ << kEpochShift) |
+      (static_cast<std::uint64_t>(count) << kCountShift);
+  const std::uint64_t epoch = word >> kEpochShift;
+  for (const std::size_t d : order_) {
+    tags_[d].word.store(epoch, std::memory_order_relaxed);
+  }
+  claim_.store(word, std::memory_order_release);
   bool wake;
   {
     // Taken after the claim_ store: any worker that checked its
@@ -169,12 +216,25 @@ void Engine::run_domains(Time end) {
     wake = parked_ > 0;
   }
   if (wake) park_cv_.notify_all();
-  claim_and_run(epoch_, end);
+  claim_and_run(0, epoch, end);
   const auto t0 = std::chrono::steady_clock::now();
+  // Both counts: every domain ran, and no thread still holds a claim
+  // slot (and so may read order_, which the next window rewrites).
   relax_until([&] {
-    return domains_done_.load(std::memory_order_acquire) >= count;
+    return domains_done_.load(std::memory_order_acquire) >= count &&
+           slots_done_.load(std::memory_order_acquire) >= count;
   });
   stats_.barrier_wait_ns += ns_since(t0);
+}
+
+void Engine::barrier() {
+  if (domain_hook_) {
+    const std::size_t n = sim_.num_domains();
+    order_.resize(n);
+    for (std::size_t d = 0; d < n; ++d) order_[d] = d;
+    run_domains(Time::nanos(kHookBatch));
+  }
+  if (hook_) hook_();
 }
 
 void Engine::run_until(Time until) {
@@ -193,7 +253,7 @@ void Engine::run_until(Time until) {
     return;
   }
   for (;;) {
-    if (hook_) hook_();
+    barrier();
     Time next = Time::max();
     bool any = false;
     Time t;
@@ -257,7 +317,7 @@ void Engine::run_until(Time until) {
     // nothing at all — workers stay parked.
     if (!order_.empty()) run_domains(window_end);
   }
-  if (hook_) hook_();
+  barrier();
   stats_.wall_ns += ns_since(wall0);
 }
 

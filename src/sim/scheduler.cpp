@@ -16,7 +16,7 @@ constexpr std::uint64_t make_id(std::uint32_t slot, std::uint32_t gen) {
 }  // namespace
 
 Scheduler::Scheduler()
-    : wheel_(kWheelBuckets), occupancy_(kWheelBuckets / 64, 0) {}
+    : wheel_(kWheelBuckets, kNil), occupancy_(kWheelBuckets / 64, 0) {}
 
 std::uint32_t Scheduler::alloc_slot() {
   if (free_list_.empty()) {
@@ -29,14 +29,16 @@ std::uint32_t Scheduler::alloc_slot() {
 }
 
 EventId Scheduler::commit(Time at, std::uint32_t slot) {
-  const Ref ref{at, next_seq_++, slot};
+  Node& node = nodes_[slot];
+  node.at = at;
+  node.seq = next_seq_++;
   const std::uint64_t tick = tick_of(at);
   if (tick - tick_of(now_) < kWheelBuckets) {
-    wheel_push(tick, ref);
+    wheel_push(slot, tick);
   } else {
-    heap_push(ref);
+    heap_push(Ref{at, node.seq, slot});
   }
-  return EventId{make_id(slot, nodes_[slot].gen)};
+  return EventId{make_id(slot, node.gen)};
 }
 
 void Scheduler::cancel(EventId id) {
@@ -51,7 +53,7 @@ void Scheduler::cancel(EventId id) {
   if (node.where == kInHeap) {
     heap_remove(node.pos);
   } else {
-    wheel_remove(node.where, node.pos);
+    wheel_remove(slot);
   }
   free_node(slot);
 }
@@ -126,27 +128,34 @@ void Scheduler::heap_sift_down(std::size_t i) {
 // Timer wheel
 // ---------------------------------------------------------------------------
 
-void Scheduler::wheel_push(std::uint64_t tick, const Ref& ref) {
+void Scheduler::wheel_push(std::uint32_t slot, std::uint64_t tick) {
   const auto bucket = static_cast<std::uint32_t>(tick & (kWheelBuckets - 1));
-  std::vector<Ref>& entries = wheel_[bucket];
-  nodes_[ref.node].where = bucket;
-  nodes_[ref.node].pos = static_cast<std::uint32_t>(entries.size());
-  entries.push_back(ref);
-  occupancy_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+  const std::uint32_t head = wheel_[bucket];
+  Node& node = nodes_[slot];
+  node.where = bucket;
+  node.next = head;
+  node.prev = kNil;
+  if (head != kNil) {
+    nodes_[head].prev = slot;
+  } else {
+    occupancy_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+  }
+  wheel_[bucket] = slot;
   ++wheel_count_;
 }
 
-void Scheduler::wheel_remove(std::uint32_t bucket, std::uint32_t pos) {
-  std::vector<Ref>& entries = wheel_[bucket];
-  const std::size_t last = entries.size() - 1;
-  if (pos != last) {
-    entries[pos] = entries[last];
-    nodes_[entries[pos].node].pos = pos;
+void Scheduler::wheel_remove(std::uint32_t slot) {
+  const Node& node = nodes_[slot];
+  if (node.prev != kNil) {
+    nodes_[node.prev].next = node.next;
+  } else {
+    wheel_[node.where] = node.next;
+    if (node.next == kNil) {
+      occupancy_[node.where >> 6] &=
+          ~(std::uint64_t{1} << (node.where & 63));
+    }
   }
-  entries.pop_back();
-  if (entries.empty()) {
-    occupancy_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-  }
+  if (node.next != kNil) nodes_[node.next].prev = node.prev;
   --wheel_count_;
 }
 
@@ -171,11 +180,14 @@ std::uint32_t Scheduler::wheel_first_bucket() const {
   return 0;
 }
 
-std::uint32_t Scheduler::bucket_min(std::uint32_t bucket) const {
-  const std::vector<Ref>& entries = wheel_[bucket];
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 1; i < entries.size(); ++i) {
-    if (before(entries[i], entries[best])) best = i;
+Scheduler::Ref Scheduler::bucket_min(std::uint32_t bucket) const {
+  // Lists are LIFO, and one bucket spans a whole tick, so the earliest
+  // (at, seq) may sit anywhere in the list: compare keys, never order.
+  std::uint32_t slot = wheel_[bucket];
+  Ref best{nodes_[slot].at, nodes_[slot].seq, slot};
+  for (slot = nodes_[slot].next; slot != kNil; slot = nodes_[slot].next) {
+    const Ref candidate{nodes_[slot].at, nodes_[slot].seq, slot};
+    if (before(candidate, best)) best = candidate;
   }
   return best;
 }
@@ -186,8 +198,7 @@ std::uint32_t Scheduler::bucket_min(std::uint32_t bucket) const {
 
 bool Scheduler::peek(Ref& out) const {
   if (wheel_count_ > 0) {
-    const std::uint32_t bucket = wheel_first_bucket();
-    out = wheel_[bucket][bucket_min(bucket)];
+    out = bucket_min(wheel_first_bucket());
     // A heap event can still be earlier: far-future events stay in the
     // heap as their time approaches instead of migrating to the wheel.
     if (!heap_.empty() && before(heap_.front(), out)) out = heap_.front();
@@ -205,7 +216,7 @@ Scheduler::Callback Scheduler::extract(const Ref& ref) {
   if (node.where == kInHeap) {
     heap_remove(node.pos);
   } else {
-    wheel_remove(node.where, node.pos);
+    wheel_remove(ref.node);
   }
   // Free before running: the callback may schedule (reusing this slot)
   // and pending() must not count the event being executed.

@@ -8,9 +8,11 @@
 //
 //  * a hashed timer wheel for the near future — link serialisation,
 //    propagation and pacing delays, which dominate the workload.  Each
-//    of the kWheelBuckets buckets covers one kTickNanos-wide tick, so
-//    insertion and cancellation are O(1) and an occupancy bitmap makes
-//    find-next a couple of word scans;
+//    of the kWheelBuckets buckets covers one 2^kTickShift ns tick and is
+//    an intrusive doubly-linked list threaded through the node pool, so
+//    the wheel itself is one 32-bit head slot per bucket (16 KB) plus an
+//    occupancy bitmap.  Insertion and cancellation are O(1) link edits
+//    and find-next is a couple of word scans;
 //  * an indexed 4-ary min-heap for everything beyond the wheel horizon
 //    (RTO timers, staggered flow starts).
 //
@@ -127,17 +129,34 @@ class Scheduler {
   /// Where a node's queue entry currently lives.
   static constexpr std::uint32_t kInHeap = 0xFFFFFFFFu;
   static constexpr std::uint32_t kFree = 0xFFFFFFFEu;
+  /// End of a bucket list (and the head of an empty bucket).
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// Pool slot owning one event's callback and bookkeeping.
+  /// Pool slot owning one event's key, queue links and callback.  The
+  /// key and links fill the first 32 bytes, so a bucket walk reads those
+  /// and never the callback.
   struct Node {
-    EventFn cb;
-    std::uint32_t gen = 0;     ///< bumped on free; stale ids mismatch
-    std::uint32_t pos = 0;     ///< index within heap_ or its bucket
+    Time at;
+    std::uint64_t seq = 0;
+    std::uint32_t gen = 0;        ///< bumped on free; stale ids mismatch
     std::uint32_t where = kFree;  ///< kInHeap, kFree, or bucket index
+    union {
+      std::uint32_t pos = 0;  ///< kInHeap: index within heap_
+      std::uint32_t next;     ///< in a bucket: next slot, kNil at the tail
+    };
+    std::uint32_t prev = kNil;  ///< in a bucket: previous slot, kNil at head
+    EventFn cb;
   };
 
-  /// Queue entry: everything the comparator needs, no callback, so heap
-  /// sifts and bucket scans move 24 bytes and never touch the pool.
+ public:
+  /// Bytes per pooled event: the pool is the scheduler's whole per-event
+  /// footprint (the tests pin it at two cache lines).
+  static constexpr std::size_t kNodeBytes = sizeof(Node);
+
+ private:
+  /// An event's key and slot, no callback: what the comparator needs.
+  /// The heap stores these, so its sifts move 24 bytes and never touch
+  /// the pool.
   struct Ref {
     Time at;
     std::uint64_t seq = 0;
@@ -166,12 +185,12 @@ class Scheduler {
   void heap_sift_down(std::size_t i);
 
   // -- timer wheel (near-future events) --
-  void wheel_push(std::uint64_t tick, const Ref& ref);
-  void wheel_remove(std::uint32_t bucket, std::uint32_t pos);
+  void wheel_push(std::uint32_t slot, std::uint64_t tick);
+  void wheel_remove(std::uint32_t slot);
   /// Earliest occupied bucket at or after now(); wheel must be non-empty.
   std::uint32_t wheel_first_bucket() const;
-  /// Index of the earliest (at, seq) entry in `bucket`.
-  std::uint32_t bucket_min(std::uint32_t bucket) const;
+  /// Earliest (at, seq) entry of the non-empty `bucket`.
+  Ref bucket_min(std::uint32_t bucket) const;
 
   /// True if a live event exists; fills `out` with the earliest one.
   bool peek(Ref& out) const;
@@ -182,7 +201,7 @@ class Scheduler {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_list_;
   std::vector<Ref> heap_;
-  std::vector<std::vector<Ref>> wheel_;
+  std::vector<std::uint32_t> wheel_;      ///< head slot per bucket, or kNil
   std::vector<std::uint64_t> occupancy_;  ///< one bit per wheel bucket
   std::size_t wheel_count_ = 0;
   Time now_;

@@ -1,12 +1,28 @@
 #include "topo/fat_tree.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
 
 #include "net/ecmp.h"
 
 namespace mmptcp {
 
 namespace {
+
+/// "<prefix><id>.<id>..." node names, built by appending: GCC 12 at -O3
+/// misreports `"literal" + std::to_string(...)` under -Werror=restrict.
+std::string node_name(const char* prefix,
+                      std::initializer_list<std::uint32_t> ids) {
+  std::string name = prefix;
+  const char* sep = "";
+  for (std::uint32_t id : ids) {
+    name += sep;
+    name += std::to_string(id);
+    sep = ".";
+  }
+  return name;
+}
 
 // Routing is algorithmic (two-level routing from the Al-Fares paper,
 // collapsed to address arithmetic): downward hops are fully determined by
@@ -124,10 +140,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
     for (std::uint32_t e = 0; e < half; ++e) {
       for (std::uint32_t h = 0; h < hosts; ++h) {
         const Addr a = FatTreeAddr::host(p, e, h);
-        Host& hn = net_.make_host("h" + std::to_string(p) + "." +
-                                      std::to_string(e) + "." +
-                                      std::to_string(h),
-                                  a);
+        Host& hn = net_.make_host(node_name("h", {p, e, h}), a);
         hn.set_domain(edge_grain ? host_group(p, e) : p);
         hn.set_canonical_domain(host_group(p, e));
       }
@@ -137,8 +150,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   edge_base_ = 0;
   for (std::uint32_t p = 0; p < config_.k; ++p) {
     for (std::uint32_t e = 0; e < half; ++e) {
-      Switch& sw = net_.make_switch("edge" + std::to_string(p) + "." +
-                                    std::to_string(e));
+      Switch& sw = net_.make_switch(node_name("edge", {p, e}));
       sw.set_domain(edge_grain ? host_group(p, e) : p);
       sw.set_canonical_domain(host_group(p, e));
       maybe_shared(sw, hosts + half);
@@ -148,8 +160,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   agg_base_ = net_.switch_count();
   for (std::uint32_t p = 0; p < config_.k; ++p) {
     for (std::uint32_t a = 0; a < half; ++a) {
-      Switch& sw =
-          net_.make_switch("agg" + std::to_string(p) + "." + std::to_string(a));
+      Switch& sw = net_.make_switch(node_name("agg", {p, a}));
       sw.set_domain(edge_grain ? fabric_domain(p) : p);
       sw.set_canonical_domain(fabric_domain(p));
       maybe_shared(sw, config_.k);
@@ -158,7 +169,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   }
   core_base_ = net_.switch_count();
   for (std::uint32_t c = 0; c < core_count(); ++c) {
-    Switch& sw = net_.make_switch("core" + std::to_string(c));
+    Switch& sw = net_.make_switch(node_name("core", {c}));
     sw.set_domain(edge_grain ? fabric_domain(c % config_.k)
                              : c % config_.k);
     sw.set_canonical_domain(fabric_domain(c % config_.k));

@@ -42,8 +42,10 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   // With domains unconfigured nothing ever crosses (pure serial path).
   if (sim_.num_domains() > 0 &&
       a.canonical_domain() != b.canonical_domain()) {
-    ab.make_cross_domain(a_sched, &outbox(a.canonical_domain(), a.domain()));
-    ba.make_cross_domain(b_sched, &outbox(b.canonical_domain(), b.domain()));
+    ab.make_cross_domain(
+        a_sched, &outbox(a.canonical_domain(), a.domain(), b.domain()));
+    ba.make_cross_domain(
+        b_sched, &outbox(b.canonical_domain(), b.domain(), a.domain()));
     cross_delay_min_ = std::min(cross_delay_min_, spec.delay);
     cross_channels_ += 2;
   }
@@ -57,41 +59,63 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   ba.attach_sink(&a, ap);
 }
 
-CrossDomainOutbox& Network::outbox(std::size_t canonical, std::size_t exec) {
-  while (outboxes_.size() <= canonical) {
-    outboxes_.push_back(std::make_unique<CrossDomainOutbox>());
-    outbox_exec_.push_back(SIZE_MAX);
+CrossDomainOutbox& Network::outbox(std::size_t canonical, std::size_t exec,
+                                   std::size_t dst) {
+  if (outbox_exec_.size() <= canonical) {
+    outbox_exec_.resize(canonical + 1, SIZE_MAX);
   }
   // A canonical unit split across execution domains would make its
-  // outbox multi-writer within a window — a builder bug this
-  // flush-ordering scheme cannot canonicalise, so fail loudly.
+  // outboxes multi-writer within a window — a topology-construction bug
+  // this flush-ordering scheme cannot canonicalise, so fail loudly.
   if (outbox_exec_[canonical] == SIZE_MAX) {
     outbox_exec_[canonical] = exec;
   } else {
     check(outbox_exec_[canonical] == exec,
           "emitters of one canonical domain span execution domains");
   }
-  return *outboxes_[canonical];
+  if (inbound_.size() <= dst) {
+    inbound_.resize(dst + 1);
+    flush_scratch_.resize(dst + 1);
+  }
+  for (const Inbound& in : inbound_[dst]) {
+    if (in.src == canonical) return *in.box;
+  }
+  outboxes_.push_back(std::make_unique<CrossDomainOutbox>());
+  inbound_[dst].push_back(Inbound{canonical, outboxes_.back().get()});
+  return *outboxes_.back();
 }
 
 void Network::flush_cross_domain() {
-  flush_scratch_.clear();
-  for (std::size_t d = 0; d < outboxes_.size(); ++d) {
-    for (CrossDomainOutbox::Entry& e : outboxes_[d]->entries()) {
-      flush_scratch_.push_back(FlushRef{e.at, d, e.seq, &e});
+  for (std::size_t dst = 0; dst < inbound_.size(); ++dst) {
+    flush_cross_domain_into(dst);
+  }
+}
+
+void Network::flush_cross_domain_into(std::size_t dst) {
+  if (dst >= inbound_.size()) return;
+  std::vector<FlushRef>& scratch = flush_scratch_[dst];
+  scratch.clear();
+  for (const Inbound& in : inbound_[dst]) {
+    for (CrossDomainOutbox::Entry& e : in.box->entries()) {
+      scratch.push_back(FlushRef{e.at, in.src, e.seq, &e});
     }
   }
-  if (flush_scratch_.empty()) return;
-  std::sort(flush_scratch_.begin(), flush_scratch_.end(),
+  if (scratch.empty()) return;
+  // Sequence numbers count per (source, destination) outbox, not per
+  // source, but only entries bound for this scheduler are compared
+  // here, and among those a source's numbers still follow its emission
+  // order — so each scheduler receives exactly the insertion sequence a
+  // single global (time, source, seq) sort would give it.
+  std::sort(scratch.begin(), scratch.end(),
             [](const FlushRef& x, const FlushRef& y) {
               if (x.at != y.at) return x.at < y.at;
               if (x.key != y.key) return x.key < y.key;
               return x.seq < y.seq;
             });
-  for (const FlushRef& ref : flush_scratch_) {
+  for (const FlushRef& ref : scratch) {
     ref.entry->channel->deliver_at(ref.at, ref.entry->pkt);
   }
-  for (const auto& box : outboxes_) box->clear();
+  for (const Inbound& in : inbound_[dst]) in.box->clear();
 }
 
 std::uint64_t Network::unroutable_total() const {

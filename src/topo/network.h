@@ -70,11 +70,17 @@ class Network {
   /// across granularities.
   void connect(Node& a, Node& b, const LinkSpec& spec);
 
-  /// Drains every canonical unit's outbox into the destination
+  /// Drains every canonical unit's outboxes into the destination
   /// schedulers in the canonical (arrival time, source canonical domain,
-  /// emission seq) order.  Called by the engine's barrier hook; cheap
-  /// no-op when nothing crossed.
+  /// emission seq) order.  Cheap no-op when nothing crossed.
   void flush_cross_domain();
+
+  /// The part of flush_cross_domain() bound for execution domain `dst`:
+  /// the same deliveries into that domain's scheduler, in the same
+  /// order.  Calls for different domains touch disjoint outboxes and
+  /// schedulers, so they may run concurrently — the engine's per-domain
+  /// barrier hook calls this.
+  void flush_cross_domain_into(std::size_t dst);
 
   /// Minimum propagation delay over cross-domain channels — the
   /// conservative lookahead.  Time::max() when no channel crosses.
@@ -99,11 +105,13 @@ class Network {
   Simulation& sim() { return sim_; }
 
  private:
-  /// Outbox of one canonical unit, grown on demand.  Also records (and
-  /// on repeat calls re-checks) which execution domain owns the unit:
-  /// a canonical unit must live wholly inside one execution domain or
-  /// its outbox would be written by two workers in the same window.
-  CrossDomainOutbox& outbox(std::size_t canonical, std::size_t exec);
+  /// Outbox from one canonical unit to one destination execution
+  /// domain, created on demand.  Also records (and on repeat calls
+  /// re-checks) which execution domain owns the unit: a canonical unit
+  /// must live wholly inside one execution domain or its outboxes would
+  /// be written by two workers in the same window.
+  CrossDomainOutbox& outbox(std::size_t canonical, std::size_t exec,
+                            std::size_t dst);
 
   struct FlushRef {
     Time at;
@@ -116,14 +124,23 @@ class Network {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  /// One outbox per emitting CANONICAL domain (not execution domain):
-  /// the flush key is simply the index, and single-writer safety holds
-  /// because every canonical unit executes inside exactly one domain.
+  /// One outbox per (emitting CANONICAL domain, destination execution
+  /// domain) pair: the flush key is the emitting unit's index, and
+  /// single-writer safety holds because every canonical unit executes
+  /// inside exactly one domain.  Splitting by destination lets each
+  /// destination drain on its own thread.
   std::vector<std::unique_ptr<CrossDomainOutbox>> outboxes_;
-  /// Execution domain owning each canonical unit's outbox (the
+  struct Inbound {
+    std::size_t src;  ///< emitting canonical unit
+    CrossDomainOutbox* box;
+  };
+  /// Per destination execution domain: the outboxes delivering into it.
+  std::vector<std::vector<Inbound>> inbound_;
+  /// Execution domain owning each canonical unit's outboxes (the
   /// single-writer invariant above); SIZE_MAX = no emitter yet.
   std::vector<std::size_t> outbox_exec_;
-  std::vector<FlushRef> flush_scratch_;
+  /// Per destination: sort scratch, so concurrent drains never share.
+  std::vector<std::vector<FlushRef>> flush_scratch_;
   Time cross_delay_min_ = Time::max();
   std::size_t cross_channels_ = 0;
   NodeId next_id_ = 0;

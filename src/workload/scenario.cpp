@@ -165,10 +165,9 @@ void Scenario::run() {
                  workers, domains_);
   }
   Engine engine(sim_, lookahead_, workers);
-  engine.set_barrier_hook([this] {
-    net_->flush_cross_domain();
-    metrics_.flush_journals();
-  });
+  engine.set_domain_hook(
+      [this](std::size_t d) { net_->flush_cross_domain_into(d); });
+  engine.set_barrier_hook([this] { metrics_.flush_journals(); });
   engine.run_until(cfg_.max_sim_time);
   end_time_ = sim_.now();
   workers_used_ = engine.workers();

@@ -2,6 +2,8 @@
 // pattern, a completed flow delivered every byte exactly once, and flows
 // complete whenever loss stops short of killing the connection.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -14,9 +16,16 @@ using testing::MiniFatTree;
 
 struct Param {
   Protocol proto;
-  double loss;
-  std::uint64_t seed;
+  // gtest names each case after the object's raw bytes, so the padding
+  // after `proto` is an explicit zeroed field: left implicit it held stack
+  // garbage and the case names changed from one build to the next.
+  std::uint8_t zero_pad[7] = {};
+  double loss = 0;
+  std::uint64_t seed = 0;
 };
+static_assert(sizeof(Param) == sizeof(Protocol) + sizeof(Param::zero_pad) +
+                                   sizeof(double) + sizeof(std::uint64_t),
+              "Param must have no implicit padding");
 
 class RandomLoss : public ::testing::TestWithParam<Param> {};
 
@@ -67,15 +76,16 @@ std::string param_name(const ::testing::TestParamInfo<Param>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RandomLoss,
-    ::testing::Values(Param{Protocol::kTcp, 0.01, 1},
-                      Param{Protocol::kTcp, 0.05, 2},
-                      Param{Protocol::kMptcp, 0.01, 3},
-                      Param{Protocol::kMptcp, 0.05, 4},
-                      Param{Protocol::kPacketScatter, 0.01, 5},
-                      Param{Protocol::kPacketScatter, 0.05, 6},
-                      Param{Protocol::kMmptcp, 0.01, 7},
-                      Param{Protocol::kMmptcp, 0.05, 8},
-                      Param{Protocol::kMmptcp, 0.10, 9}),
+    ::testing::Values(
+        Param{.proto = Protocol::kTcp, .loss = 0.01, .seed = 1},
+        Param{.proto = Protocol::kTcp, .loss = 0.05, .seed = 2},
+        Param{.proto = Protocol::kMptcp, .loss = 0.01, .seed = 3},
+        Param{.proto = Protocol::kMptcp, .loss = 0.05, .seed = 4},
+        Param{.proto = Protocol::kPacketScatter, .loss = 0.01, .seed = 5},
+        Param{.proto = Protocol::kPacketScatter, .loss = 0.05, .seed = 6},
+        Param{.proto = Protocol::kMmptcp, .loss = 0.01, .seed = 7},
+        Param{.proto = Protocol::kMmptcp, .loss = 0.05, .seed = 8},
+        Param{.proto = Protocol::kMmptcp, .loss = 0.10, .seed = 9}),
     param_name);
 
 TEST(RandomLossReceiver, DuplicatesNeverDoubleCount) {

@@ -116,6 +116,31 @@ TEST(CrossDomain, EmissionOrderWithinOneDomainIsPreserved) {
   }
 }
 
+TEST(CrossDomain, PerDestinationDrainTouchesOnlyThatDomain) {
+  // Traffic both ways: draining domain 0 delivers only the packet bound
+  // for it; draining domain 2 then delivers the tied pair in source
+  // order, exactly as the whole-network flush would.
+  Rig rig;
+  rig.src1->port(0).enqueue(make_packet(111));
+  run_domain(rig.sim, 1);
+  rig.src0->port(0).enqueue(make_packet(100));
+  run_domain(rig.sim, 0);
+  rig.dst->port(0).enqueue(make_packet(200));  // dst's port 0 leads to src0
+  run_domain(rig.sim, 2);
+  rig.net.flush_cross_domain_into(0);
+  EXPECT_EQ(rig.sim.domain_scheduler(0).pending(), 1u);
+  EXPECT_EQ(rig.sim.domain_scheduler(2).pending(), 0u);
+  rig.net.flush_cross_domain_into(2);
+  EXPECT_EQ(rig.sim.domain_scheduler(2).pending(), 2u);
+  run_domain(rig.sim, 0);
+  run_domain(rig.sim, 2);
+  ASSERT_EQ(rig.src0->arrivals.size(), 1u);
+  EXPECT_EQ(rig.src0->arrivals[0].tag, 200u);
+  ASSERT_EQ(rig.dst->arrivals.size(), 2u);
+  EXPECT_EQ(rig.dst->arrivals[0].tag, 100u);
+  EXPECT_EQ(rig.dst->arrivals[1].tag, 111u);
+}
+
 TEST(CrossDomain, FlushDrainsTheOutboxes) {
   Rig rig;
   rig.src0->port(0).enqueue(make_packet(1));

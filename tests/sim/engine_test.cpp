@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
+#include "sim/parallel.h"
 #include "sim/simulation.h"
 
 namespace mmptcp {
@@ -49,7 +52,7 @@ struct DomainRig {
 
 TEST(Engine, WindowedRunExecutesEveryDomainEvent) {
   DomainRig rig;
-  int ran = 0;
+  std::atomic<int> ran{0};  // both domains' windows may run concurrently
   for (std::size_t d = 0; d < 2; ++d) {
     for (int i = 1; i <= 5; ++i) {
       rig.sim.domain_scheduler(d).schedule(Time::micros(100 * i),
@@ -59,7 +62,7 @@ TEST(Engine, WindowedRunExecutesEveryDomainEvent) {
   rig.sim.control_scheduler().schedule(Time::micros(250), [&] { ++ran; });
   Engine engine(rig.sim, Time::micros(120), 2);
   engine.run_until(Time::millis(10));
-  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(ran.load(), 11);
   // Windowed runs are exclusive at `until` and park every clock there.
   EXPECT_EQ(rig.sim.control_scheduler().now(), Time::millis(10));
   EXPECT_EQ(rig.sim.domain_scheduler(0).now(), Time::millis(10));
@@ -81,18 +84,18 @@ TEST(Engine, ControlWindowRunsBeforeDomainWindows) {
   // the domain events of that window (control runs first, workers
   // parked — this is what makes control-side mutation race-free).
   DomainRig rig;
-  int domain_ran = 0;
+  std::atomic<int> domain_ran{0};
   int seen_at_control = -1;
   rig.sim.domain_scheduler(0).schedule(Time::micros(100),
                                        [&] { ++domain_ran; });
   rig.sim.domain_scheduler(1).schedule(Time::micros(100),
                                        [&] { ++domain_ran; });
   rig.sim.control_scheduler().schedule(Time::micros(100), [&] {
-    seen_at_control = domain_ran;
+    seen_at_control = domain_ran.load();
   });
   Engine engine(rig.sim, Time::micros(500), 2);
   engine.run_until(Time::millis(1));
-  EXPECT_EQ(domain_ran, 2);
+  EXPECT_EQ(domain_ran.load(), 2);
   EXPECT_EQ(seen_at_control, 0);
 }
 
@@ -125,6 +128,42 @@ TEST(Engine, BarrierHookBracketsEveryWindow) {
   EXPECT_EQ(events, 3);
   // One hook before each window plus the final drain: > window count.
   EXPECT_GE(hooks, 4);
+}
+
+TEST(Engine, DomainHooksRunOncePerDomainBeforeTheBarrierHook) {
+  // Four domains on three workers: at every barrier the domain hook runs
+  // exactly once per domain, with that domain's scheduler ambient, and
+  // every call of that barrier finishes before the serial barrier hook.
+  Simulation sim(2);
+  sim.configure_domains(4);
+  for (std::size_t d = 0; d < 4; ++d) {
+    for (int i = 1; i <= 20; ++i) {
+      sim.domain_scheduler(d).schedule(Time::micros(10 * i), [] {});
+    }
+  }
+  std::vector<std::atomic<int>> calls(4);
+  std::atomic<bool> wrong_domain{false};
+  int barriers = 0;
+  bool hook_ran_early = false;
+  Engine engine(sim, Time::micros(10), 3);
+  engine.set_domain_hook([&](std::size_t d) {
+    if (par::current_domain() != static_cast<int>(d) ||
+        &sim.scheduler() != &sim.domain_scheduler(d)) {
+      wrong_domain = true;
+    }
+    ++calls[d];
+  });
+  engine.set_barrier_hook([&] {
+    ++barriers;
+    for (const std::atomic<int>& c : calls) {
+      if (c.load() != barriers) hook_ran_early = true;
+    }
+  });
+  engine.run_until(Time::micros(250));
+  EXPECT_FALSE(wrong_domain.load());
+  EXPECT_FALSE(hook_ran_early);
+  EXPECT_EQ(static_cast<std::uint64_t>(barriers), engine.stats().windows + 1);
+  for (const std::atomic<int>& c : calls) EXPECT_EQ(c.load(), barriers);
 }
 
 TEST(Engine, HookInsertionLandsInLaterWindow) {
@@ -192,11 +231,12 @@ TEST(Engine, QuietDomainsAreSkippedNotClaimed) {
 }
 
 TEST(Engine, ParkedWorkersWakeAcrossManySparseWindows) {
-  // Eight domains, four workers, but only one domain ever busy: the idle
-  // workers blow through their spin/yield budget and park on the
-  // condvar, then must observe every epoch publication.  A lost wakeup
-  // hangs this test (the busy domain's window never gets claimed);
-  // quiet-skip keeps the idle domains out of every claim list.
+  // Eight domains, four workers, but only one domain ever busy.  Every
+  // tenth barrier the serial barrier hook stalls for twice the idle
+  // budget, so the idle workers park on the condvar, then must observe
+  // the next epoch publication.  A lost wakeup hangs this test (the
+  // busy domain's window never gets claimed); quiet-skip keeps the idle
+  // domains out of every claim list.
   Simulation sim(5);
   sim.configure_domains(8);
   std::atomic<int> ran{0};
@@ -205,6 +245,12 @@ TEST(Engine, ParkedWorkersWakeAcrossManySparseWindows) {
     sim.domain_scheduler(3).schedule(Time::micros(10 * i), [&] { ++ran; });
   }
   Engine engine(sim, Time::micros(10), 4);
+  int barriers = 0;
+  engine.set_barrier_hook([&] {
+    if (++barriers % 10 == 0) {
+      std::this_thread::sleep_for(2 * Engine::kIdleBudget);
+    }
+  });
   engine.run_until(Time::micros(10 * (kWindows + 1)));
   EXPECT_EQ(ran.load(), kWindows);
   EXPECT_GT(engine.stats().domains_skipped, 0u);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace mmptcp {
@@ -280,6 +286,295 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   s.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(s.executed(), 20000u);
+}
+
+// Two cache lines: the pool is the scheduler's per-event footprint.
+static_assert(Scheduler::kNodeBytes <= 128, "scheduler pool node grew");
+
+// Differential check of the whole queue: a seeded random mix of
+// operations drives the scheduler and a reference std::set of (at, seq)
+// keys side by side.  Every executed event must be the reference's
+// minimum at the reference's time, and after every operation pending(),
+// its wheel/heap split, executed() and next_time() must match exactly.
+class SchedulerModel {
+ public:
+  explicit SchedulerModel(std::uint64_t seed) : rng_(seed) {}
+
+  void random_op() {
+    ++op_;
+    const std::uint64_t kind = live_.size() > 3000 ? 19 : draw(20);
+    if (kind < 8) {
+      schedule(draw_at());
+    } else if (kind < 10) {
+      burst();
+    } else if (kind < 13) {
+      cancel_in_bucket();
+    } else if (kind == 13) {
+      cancel_any();
+    } else if (kind == 14) {
+      cancel_stale();
+    } else {
+      run_op();
+    }
+    check_state();
+  }
+
+  void drain() {
+    stop_allowed_ = false;
+    ran_in_op_ = 0;
+    const std::uint64_t ran = sched_.run();
+    EXPECT_EQ(ran, ran_in_op_) << where();
+    EXPECT_TRUE(live_.empty()) << where();
+    check_state();
+  }
+
+  std::uint64_t executed() const { return order_.size(); }
+  std::uint64_t max_bucket_len() const { return max_bucket_len_; }
+  std::uint64_t cancelled_at(int position) const {
+    return cancelled_at_[position];
+  }
+
+ private:
+  enum class State { kPending, kRan, kCancelled };
+  struct Event {
+    std::int64_t at;
+    EventId id;
+    bool in_wheel;
+    State state;
+  };
+
+  static constexpr std::int64_t kTick = std::int64_t{1}
+                                        << Scheduler::kTickShift;
+  static constexpr std::int64_t kHorizon =
+      kTick * static_cast<std::int64_t>(Scheduler::kWheelBuckets);
+
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  std::int64_t now() const { return sched_.now().ns(); }
+  std::string where() const { return "op " + std::to_string(op_); }
+  static std::uint64_t tick_of(std::int64_t ns) {
+    return static_cast<std::uint64_t>(ns) >> Scheduler::kTickShift;
+  }
+
+  // Timestamps cluster within a few ticks so buckets hold long lists,
+  // repeat recent timestamps exactly, straddle the wheel horizon, and
+  // sometimes land far past it in the overflow heap.
+  std::int64_t draw_at() {
+    const std::int64_t base = now();
+    switch (draw(8)) {
+      case 0:
+      case 1:
+      case 2:
+        return base + static_cast<std::int64_t>(draw(3 * kTick));
+      case 3: {
+        const std::int64_t at = recent_[draw(recent_.size())];
+        return std::max(at, base);
+      }
+      case 4:
+        return base + kHorizon - kTick +
+               static_cast<std::int64_t>(draw(2 * kTick));
+      case 5:
+        return base + kHorizon +
+               static_cast<std::int64_t>(draw(8 * kHorizon));
+      default:
+        return base + static_cast<std::int64_t>(draw(kHorizon));
+    }
+  }
+
+  void schedule(std::int64_t at) {
+    const std::uint64_t seq = events_.size();
+    const bool in_wheel =
+        tick_of(at) - tick_of(now()) < Scheduler::kWheelBuckets;
+    auto cb = [this, seq] { on_run(seq); };
+    const EventId id = draw(2) == 0
+                           ? sched_.schedule(Time::nanos(at - now()), cb)
+                           : sched_.schedule_at(Time::nanos(at), cb);
+    events_.push_back(Event{at, id, in_wheel, State::kPending});
+    live_.insert({at, seq});
+    wheel_live_ += in_wheel ? 1 : 0;
+    recent_[seq % recent_.size()] = at;
+  }
+
+  // Many events within a quarter tick, as an incast's synchronized
+  // arrivals produce: one bucket's list grows long.
+  void burst() {
+    const std::int64_t center = draw_at();
+    for (std::uint64_t n = 2 + draw(31); n > 0; --n) {
+      schedule(center + static_cast<std::int64_t>(draw(kTick / 4)));
+    }
+  }
+
+  void retire(std::uint64_t seq, State state) {
+    Event& ev = events_[seq];
+    live_.erase({ev.at, seq});
+    wheel_live_ -= ev.in_wheel ? 1 : 0;
+    ev.state = state;
+  }
+
+  void cancel(std::uint64_t seq) {
+    sched_.cancel(events_[seq].id);
+    retire(seq, State::kCancelled);
+    if (draw(2) == 0) sched_.cancel(events_[seq].id);  // double cancel
+  }
+
+  std::uint64_t random_live() {
+    auto it = live_.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(draw(live_.size())));
+    return it->second;
+  }
+
+  // Picks a pending wheel event's bucket and cancels its list head,
+  // middle or tail.  Lists push at the head, so list order is
+  // descending insertion order among the bucket's live events.
+  void cancel_in_bucket() {
+    std::vector<std::uint64_t> wheel_seqs;
+    for (const auto& [at, seq] : live_) {
+      if (events_[seq].in_wheel) wheel_seqs.push_back(seq);
+    }
+    if (wheel_seqs.empty()) return;
+    const std::uint64_t pick = wheel_seqs[draw(wheel_seqs.size())];
+    const std::uint64_t bucket =
+        tick_of(events_[pick].at) % Scheduler::kWheelBuckets;
+    std::vector<std::uint64_t> list;
+    for (std::uint64_t seq : wheel_seqs) {
+      if (tick_of(events_[seq].at) % Scheduler::kWheelBuckets == bucket) {
+        list.push_back(seq);
+      }
+    }
+    std::sort(list.rbegin(), list.rend());
+    max_bucket_len_ = std::max<std::uint64_t>(max_bucket_len_, list.size());
+    const int position = static_cast<int>(draw(3));  // head, middle, tail
+    const std::size_t index = position == 0   ? 0
+                              : position == 1 ? list.size() / 2
+                                              : list.size() - 1;
+    ++cancelled_at_[position];
+    cancel(list[index]);
+  }
+
+  void cancel_any() {
+    if (!live_.empty()) cancel(random_live());
+  }
+
+  // An already-run or already-cancelled id, whose slot may since have
+  // been recycled: must change nothing.
+  void cancel_stale() {
+    if (events_.size() == live_.size()) return;
+    for (;;) {
+      const Event& ev = events_[draw(events_.size())];
+      if (ev.state != State::kPending) {
+        sched_.cancel(ev.id);
+        return;
+      }
+    }
+  }
+
+  void on_run(std::uint64_t seq) {
+    ASSERT_FALSE(live_.empty()) << where();
+    const auto expected = *live_.begin();
+    EXPECT_EQ(seq, expected.second) << where();
+    EXPECT_EQ(now(), expected.first) << where();
+    retire(seq, State::kRan);
+    order_.push_back(seq);
+    ++ran_in_op_;
+    // The running event is already off the queue.
+    EXPECT_EQ(sched_.pending(), live_.size()) << where();
+    // Callbacks schedule and cancel too, as protocol code does.
+    if (draw(4) == 0) schedule(draw_at());
+    if (draw(16) == 0) cancel_any();
+    if (stop_allowed_ && draw(64) == 0) {
+      sched_.stop();
+      stopped_ = true;
+    }
+  }
+
+  std::int64_t draw_span() {
+    switch (draw(4)) {
+      case 0:
+      case 1:
+        return static_cast<std::int64_t>(draw(4 * kTick));
+      case 2:
+        return static_cast<std::int64_t>(draw(kHorizon));
+      default:
+        return static_cast<std::int64_t>(draw(3 * kHorizon));
+    }
+  }
+
+  void run_op() {
+    ran_in_op_ = 0;
+    stopped_ = false;
+    const std::int64_t before = now();
+    const std::uint64_t kind = draw(3);
+    if (kind == 0) {
+      stop_allowed_ = false;
+      const bool had = !live_.empty();
+      EXPECT_EQ(sched_.step(), had) << where();
+      EXPECT_EQ(ran_in_op_, had ? 1u : 0u) << where();
+      EXPECT_EQ(now(), had ? events_[order_.back()].at : before) << where();
+      return;
+    }
+    stop_allowed_ = true;
+    const std::int64_t limit = before + draw_span();
+    const std::uint64_t ran = kind == 1
+                                  ? sched_.run_until(Time::nanos(limit))
+                                  : sched_.run_window(Time::nanos(limit));
+    EXPECT_EQ(ran, ran_in_op_) << where();
+    if (stopped_) {
+      EXPECT_EQ(now(), events_[order_.back()].at) << where();
+    } else {
+      EXPECT_EQ(now(), limit) << where();
+      // run_until runs events at the limit; run_window stops short of it.
+      if (!live_.empty()) {
+        if (kind == 1) {
+          EXPECT_GT(live_.begin()->first, limit) << where();
+        } else {
+          EXPECT_GE(live_.begin()->first, limit) << where();
+        }
+      }
+    }
+  }
+
+  void check_state() const {
+    EXPECT_EQ(sched_.pending(), live_.size()) << where();
+    EXPECT_EQ(sched_.wheel_pending(), wheel_live_) << where();
+    EXPECT_EQ(sched_.heap_pending(), live_.size() - wheel_live_) << where();
+    EXPECT_EQ(sched_.executed(), order_.size()) << where();
+    Time next;
+    ASSERT_EQ(sched_.next_time(next), !live_.empty()) << where();
+    if (!live_.empty()) {
+      EXPECT_EQ(next.ns(), live_.begin()->first) << where();
+    }
+  }
+
+  Scheduler sched_;
+  std::mt19937_64 rng_;
+  std::vector<Event> events_;  ///< indexed by insertion sequence
+  std::set<std::pair<std::int64_t, std::uint64_t>> live_;  ///< (at, seq)
+  std::size_t wheel_live_ = 0;
+  std::vector<std::uint64_t> order_;  ///< execution order, by sequence
+  std::vector<std::int64_t> recent_ = std::vector<std::int64_t>(16, 0);
+  std::uint64_t op_ = 0;
+  std::uint64_t ran_in_op_ = 0;
+  bool stop_allowed_ = false;
+  bool stopped_ = false;
+  std::uint64_t max_bucket_len_ = 0;
+  std::uint64_t cancelled_at_[3] = {0, 0, 0};
+};
+
+TEST(Scheduler, DifferentialAgainstOrderedSet) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SchedulerModel model(seed);
+    for (int op = 0; op < 20000 && !::testing::Test::HasFailure(); ++op) {
+      model.random_op();
+    }
+    if (::testing::Test::HasFailure()) return;  // one divergence is enough
+    model.drain();
+    // The mix really reached the cases it exists for.
+    EXPECT_GT(model.executed(), 20000u);
+    EXPECT_GE(model.max_bucket_len(), 16u);
+    for (int position = 0; position < 3; ++position) {
+      EXPECT_GT(model.cancelled_at(position), 500u);
+    }
+  }
 }
 
 }  // namespace
