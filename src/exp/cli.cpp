@@ -75,14 +75,6 @@ CliOptions parse_cli(Flags& flags) {
       "results are byte-identical at any value)");
   require(sim_threads >= 0, "--sim-threads must be >= 0 (0 = auto)");
   o.sweep.sim_threads = static_cast<unsigned>(sim_threads);
-  o.sweep.sim_domains = flags.get_string(
-      "sim-domains", "pod",
-      "domain decomposition granularity: 'pod' (one domain per pod) or "
-      "'edge' (one domain per edge switch + per-pod fabric domains); "
-      "results are byte-identical at either value");
-  require(o.sweep.sim_domains == "pod" || o.sweep.sim_domains == "edge",
-          "--sim-domains must be 'pod' or 'edge', got '" +
-              o.sweep.sim_domains + "'");
   const std::string seeds = flags.get_string(
       "seeds", "", "seed list: '7', '1,2,5' or '1..10' (default: --seed)");
   o.sweep.seeds = seeds.empty() ? std::vector<std::uint64_t>{o.scale.seed}

@@ -83,11 +83,6 @@ ScenarioConfig point_scenario(const RunContext& ctx, Protocol proto,
   cfg.trace = ctx.trace;
   cfg.logger = ctx.logger;
   cfg.sim_threads = ctx.sim_threads;
-  // Decomposition granularity is a pure scheduling knob (byte-identical
-  // results either way); the CLI has already validated the string.
-  cfg.fat_tree.domain_granularity = ctx.sim_domains == "edge"
-                                        ? DomainGranularity::kEdge
-                                        : DomainGranularity::kPod;
   return cfg;
 }
 
@@ -599,9 +594,8 @@ void register_smoke(Registry& r) {
                .warn_pct = 20,
                .fail_pct = 60,
                .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic per
-              // granularity but not across granularities — compare
-              // like-for-like sidecars only.
+              // Engine scheduling telemetry: deterministic for a given
+              // build and configuration.
               {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
               {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
               {.pattern = "avg_active*",
@@ -1010,10 +1004,9 @@ void register_scale(Registry& r) {
             // going: a short server linger bounds live records at
             // (arrival rate x linger) instead of the full short count.
             cfg.server_linger = Time::seconds(1);
-            // Longer spine delay, realistic for a big fabric.  (The
-            // conservative lookahead is min(edge, spine delay), so this
-            // no longer widens the window — it just keeps the workload
-            // honest for the speedup numbers the gate summary prints.)
+            // Longer spine delay, realistic for a big fabric.  Only
+            // agg<->core links cross domains, so this is also the
+            // conservative lookahead: the window is 100 us wide.
             cfg.fat_tree.core_link_delay = Time::micros(100);
             const auto wall_start = std::chrono::steady_clock::now();
             Scenario sc(cfg);
@@ -1118,9 +1111,8 @@ void register_scale(Registry& r) {
                .warn_pct = 25,
                .fail_pct = 100,
                .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic per
-              // granularity but not across granularities — compare
-              // like-for-like sidecars only.
+              // Engine scheduling telemetry: deterministic for a given
+              // build and configuration.
               {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
               {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
               {.pattern = "avg_active*",

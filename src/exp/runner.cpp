@@ -168,7 +168,7 @@ std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
   }
 
   std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> completed{0};
+  std::size_t completed = 0;  // guarded by progress_mutex
   std::mutex progress_mutex;
 
   const auto worker = [&] {
@@ -184,7 +184,6 @@ std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
       ctx.out_dir = options.out_dir;
       ctx.logger = options.logger;
       ctx.sim_threads = options.sim_threads;
-      ctx.sim_domains = options.sim_domains;
       if (options.trace_channels != 0) {
         ctx.trace.channels = options.trace_channels;
         ctx.trace.interval = options.trace_interval;
@@ -205,10 +204,12 @@ std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
       } catch (...) {
         rec.outcome = RunOutcome::failure("unknown error");
       }
-      const std::size_t done = completed.fetch_add(1) + 1;
+      // Counted under the lock so the callback sees 1, 2, ..., total in
+      // order even when two runs finish at once.
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      ++completed;
       if (options.on_progress) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        options.on_progress(done, total, rec.id, rec.outcome.ok);
+        options.on_progress(completed, total, rec.id, rec.outcome.ok);
       }
     }
   };

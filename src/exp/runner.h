@@ -28,9 +28,6 @@ struct SweepOptions {
   /// > 1 the runner caps `jobs` so jobs x sim_threads stays within
   /// hardware concurrency; run outputs do not depend on either knob.
   unsigned sim_threads = 1;
-  /// Domain decomposition granularity handed to every run
-  /// (--sim-domains, "pod" or "edge"); never affects run outputs.
-  std::string sim_domains = "pod";
   std::vector<std::uint64_t> seeds;     ///< override; empty = spec default
   std::string out_dir = ".";            ///< directory for run artifacts
   /// Shard selection (--shard i/N): of the full expansion, this invocation

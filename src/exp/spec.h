@@ -39,11 +39,6 @@ struct RunContext {
   /// byte-identical at any value (see sim/engine.h), only wall time
   /// changes.
   unsigned sim_threads = 1;
-  /// Domain decomposition granularity for intra-run parallelism
-  /// (--sim-domains): "pod" (k domains) or "edge" (one domain per edge
-  /// switch plus per-pod fabric domains).  Results are byte-identical at
-  /// either value; finer granularity exposes more parallelism.
-  std::string sim_domains = "pod";
 };
 
 /// Outputs of one grid point: ordered metric name -> value.

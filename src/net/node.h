@@ -42,19 +42,8 @@ class Node {
   /// after creation and before its ports are wired: add_port() binds the
   /// port's transmitter to the domain's scheduler.  Defaults to 0, which
   /// is the control scheduler while domains are unconfigured.
-  void set_domain(std::size_t d) { domain_ = d; canonical_domain_ = d; }
+  void set_domain(std::size_t d) { domain_ = d; }
   std::size_t domain() const { return domain_; }
-
-  /// Granularity-invariant decomposition id: the finest (edge-level)
-  /// domain this node would belong to, regardless of which execution
-  /// granularity the run actually uses.  Canonical flush ordering and
-  /// metric grouping key on this instead of domain(), which is what
-  /// makes results byte-identical across granularities.  Builders that
-  /// support multiple granularities tag it right after set_domain()
-  /// (which defaults it to the execution domain, the correct value for
-  /// single-granularity topologies).
-  void set_canonical_domain(std::size_t d) { canonical_domain_ = d; }
-  std::size_t canonical_domain() const { return canonical_domain_; }
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -71,7 +60,6 @@ class Node {
   NodeId id_;
   std::string name_;
   std::size_t domain_ = 0;
-  std::size_t canonical_domain_ = 0;
   std::vector<std::unique_ptr<Port>> ports_;
 };
 

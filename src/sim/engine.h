@@ -11,8 +11,8 @@
 // domain at t + lookahead or later: everything inside one window is
 // causally independent across domains and may run concurrently.
 //
-// Two scheduling refinements keep fine-grained decompositions (many
-// small domains) profitable:
+// Three scheduling policies keep the worker pool busy and each domain
+// on one core:
 //
 //  * Quiet-domain skip.  After the control window runs, each domain is
 //    probed once; domains whose next event lies at or after the window
@@ -37,7 +37,7 @@
 //
 // All three are pure scheduling policies: they change which thread runs
 // a window and when, never what the window executes, so results stay
-// byte-identical across worker counts and decomposition granularities.
+// byte-identical across worker counts.
 //
 // Cross-domain packets and metric mutations are buffered during the
 // window (net/link.h outboxes, stats/metrics.h journals) and flushed at

@@ -52,14 +52,6 @@ struct FlowRecord {
   Addr dst;
   std::uint64_t request_bytes = 0;  ///< 0 = unbounded (long background flow)
   bool long_flow = false;
-  /// Canonical (granularity-invariant, edge-level) host groups of the two
-  /// endpoints, derived from the addresses at start (see
-  /// Metrics::set_group_of).  Journaled mutations sort on these instead
-  /// of the execution domain, so the canonical flush order — and every
-  /// result byte — is identical across decomposition granularities.
-  /// Written once at creation, read-only afterwards.
-  std::uint32_t src_group = 0;
-  std::uint32_t dst_group = 0;
 
   Time start;                        ///< client initiated the connection
   Time completed_at = Time::max();   ///< receiver held all bytes

@@ -47,36 +47,30 @@ void FlowSketches::merge(const FlowSketches& other) {
   mptcp_phase_ms.merge(other.mptcp_phase_ms);
 }
 
-void Metrics::configure_shards(std::size_t shards,
-                               std::size_t journal_domains) {
-  check(shards >= 1, "Metrics needs at least one shard");
-  check(shards <= 0x3ff, "too many shards for the flow-id encoding");
+void Metrics::configure_shards(std::size_t domains) {
+  check(domains >= 1, "Metrics needs at least one shard");
+  check(domains <= 0x3ff, "too many shards for the flow-id encoding");
   check(flow_count() == 0, "configure_shards after flows started");
-  shards_.assign(shards, Shard{});
-  journals_.assign(journal_domains == 0 ? shards : journal_domains,
-                   std::vector<MetricOp>{});
+  shards_.assign(domains, Shard{});
+  journals_.assign(domains, std::vector<MetricOp>{});
 }
 
 FlowRecord& Metrics::on_flow_started(Protocol proto, Addr src, Addr dst,
                                      std::uint64_t request_bytes,
                                      bool long_flow, Time now) {
-  // Allocate from the source host's *group* shard so ids never depend on
-  // how concurrent windows interleave, nor on how groups pack into
-  // execution domains.  The calling thread owns that shard: a flow
-  // starts on its source host's scheduler, and a host group executes in
-  // exactly one domain at any granularity.  Without a group mapping
-  // (serial runs, incast) everything is shard 0.
-  const std::uint32_t src_group = group_of_ ? group_of_(src) : 0;
-  const std::uint32_t dst_group = group_of_ ? group_of_(dst) : 0;
-  const std::size_t s = src_group < shards_.size() ? src_group : 0;
+  // Allocate from the calling domain's shard: a flow starts on its
+  // source host's scheduler, so ids never depend on how concurrent
+  // windows interleave and no two threads share a shard.  Outside a
+  // domain window (serial runs, incast, control events) it is shard 0.
+  const int d = par::current_domain();
+  const std::size_t s =
+      d >= 0 && static_cast<std::size_t>(d) < shards_.size() ? d : 0;
   Shard& shard = shards_[s];
   if (!long_flow) ++shard.short_started;
   FlowRecord rec;
   rec.protocol = proto;
   rec.src = src;
   rec.dst = dst;
-  rec.src_group = src_group;
-  rec.dst_group = dst_group;
   rec.request_bytes = request_bytes;
   rec.long_flow = long_flow;
   rec.start = now;
@@ -143,13 +137,7 @@ void Metrics::flush_journals() {
   flush_order_.clear();
   for (std::size_t d = 0; d < journals_.size(); ++d) {
     for (std::size_t i = 0; i < journals_[d].size(); ++i) {
-      const MetricOp& op = journals_[d][i];
-      // Group lookup happens here, single-threaded at the barrier, never
-      // in journal(): reading the record from a worker would race with
-      // another shard's push_back.  The record is guaranteed live — ops
-      // journaled in window W flush at the W+1 barrier before any
-      // control window can retire and recycle the slot.
-      flush_order_.push_back(OpRef{op.at, op_group(record(op.flow), op.kind),
+      flush_order_.push_back(OpRef{journals_[d][i].at,
                                    static_cast<std::uint32_t>(d),
                                    static_cast<std::uint32_t>(i)});
     }
@@ -158,9 +146,8 @@ void Metrics::flush_journals() {
   std::sort(flush_order_.begin(), flush_order_.end(),
             [](const OpRef& x, const OpRef& y) {
               if (x.at != y.at) return x.at < y.at;
-              if (x.group != y.group) return x.group < y.group;
-              if (x.idx != y.idx) return x.idx < y.idx;
-              return x.domain < y.domain;
+              if (x.domain != y.domain) return x.domain < y.domain;
+              return x.idx < y.idx;
             });
   for (const OpRef& ref : flush_order_) apply(journals_[ref.domain][ref.idx]);
   for (auto& j : journals_) j.clear();

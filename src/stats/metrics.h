@@ -8,23 +8,19 @@
 // O(1) lookup.  With one shard — the default — ids are plain dense
 // indices, exactly the classic behaviour.
 //
-// Parallel runs configure one shard per *canonical host group* (the
-// granularity-invariant edge-level unit, see Node::canonical_domain)
-// and one journal per execution domain.  Three rules then make
-// concurrent mutation deterministic, race-free and independent of the
-// decomposition granularity:
-//   * on_flow_started allocates synchronously from the source host's
-//     *group* shard (via set_group_of), so id assignment never depends
-//     on cross-domain interleaving or on how groups pack into domains;
+// Parallel runs configure one shard and one journal per execution
+// domain.  Three rules then make concurrent mutation deterministic and
+// race-free:
+//   * on_flow_started allocates synchronously from the calling domain's
+//     shard (a flow starts on its source host's scheduler), so id
+//     assignment never depends on cross-domain interleaving;
 //   * every other mutator appends to the calling domain's journal
 //     instead of touching the record (a flow's record is written from
 //     both endpoints' domains — sender retransmit state, receiver
 //     delivery — which may execute concurrently);
 //   * flush_journals(), called at every window barrier, applies the
-//     buffered ops in the canonical (time, group, append order) order
-//     — the group being the relevant endpoint's host group, not the
-//     journal's execution domain — which is identical at any worker
-//     count and at any granularity.
+//     buffered ops in the canonical (time, domain, append order) order,
+//     which is identical at any worker count.
 
 #include <cstdint>
 #include <deque>
@@ -74,32 +70,21 @@ struct RetiredTotals {
 /// Collects flow records and protocol event counters for one run.
 class Metrics {
  public:
-  /// Flow id layout: shard (= canonical host group) in the high bits,
+  /// Flow id layout: shard (= the starting domain) in the high bits,
   /// dense local index below.  Up to 1024 shards, 4.2M live flows each;
   /// with one shard ids are plain dense indices.
   static constexpr unsigned kShardShift = 22;
   static constexpr std::uint32_t kLocalMask = (1u << kShardShift) - 1;
 
-  /// Splits flow storage into `shards` shards (one per canonical host
-  /// group) and journals into `journal_domains` buffers (one per
-  /// execution domain).  Call before the first flow starts (parallel
+  /// Splits flow storage and journals into one shard and one journal
+  /// per execution domain.  Call before the first flow starts (parallel
   /// scenario setup).
-  void configure_shards(std::size_t shards, std::size_t journal_domains = 0);
+  void configure_shards(std::size_t domains);
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Maps a host address to its canonical host group; the scenario
-  /// installs the topology's mapping before any flow starts.  Drives
-  /// both shard selection (source group) and the canonical flush order.
-  /// Unset (serial runs, incast) everything lands in group/shard 0.
-  void set_group_of(std::function<std::uint32_t(Addr)> fn) {
-    group_of_ = std::move(fn);
-  }
-
-  /// Applies every journaled mutation in canonical (time, group,
-  /// append-order) order, where the group is the relevant endpoint's
-  /// canonical host group (receiver's for delivery-side ops, sender's
-  /// otherwise).  The engine's barrier hook calls this between windows;
-  /// serial runs never journal, so it is a no-op for them.
+  /// Applies every journaled mutation in canonical (time, domain,
+  /// append-order) order.  The engine's barrier hook calls this between
+  /// windows; serial runs never journal, so it is a no-op for them.
   void flush_journals();
 
   /// Registers a new flow and returns its record (flow_id assigned).
@@ -200,7 +185,7 @@ class Metrics {
   const FlowSketches& short_flow_sketches(Protocol proto) const;
 
  private:
-  /// One canonical host group's flow storage (single shard when serial).
+  /// One domain's flow storage (single shard when serial).
   struct Shard {
     std::deque<FlowRecord> records;
     std::vector<std::uint32_t> free_slots;  ///< recycled local indices
@@ -238,31 +223,12 @@ class Metrics {
     return true;
   }
 
-  /// Position of one journaled op in the canonical flush order.  `group`
-  /// is the sort key (granularity-invariant); `domain` locates the op in
-  /// its journal.  Ops sharing (at, group) always come from one journal
-  /// — a host group's events execute in exactly one domain — so the idx
-  /// tie-break is well defined; the final domain tie-break only pins a
-  /// total order for impossible inputs.
+  /// Position of one journaled op in the canonical flush order.
   struct OpRef {
     Time at;
-    std::uint32_t group;
     std::uint32_t domain;
     std::uint32_t idx;  ///< append order within the domain's journal
   };
-
-  /// Canonical group an op sorts under: the receiver's host group for
-  /// delivery-side ops, the sender's for everything else.
-  static std::uint32_t op_group(const FlowRecord& rec, MetricOp::Kind kind) {
-    switch (kind) {
-      case MetricOp::Kind::kDelivered:
-      case MetricOp::Kind::kCompleted:
-      case MetricOp::Kind::kReorderWait:
-        return rec.dst_group;
-      default:
-        return rec.src_group;
-    }
-  }
 
   void apply(const MetricOp& op);
 
@@ -281,7 +247,6 @@ class Metrics {
   std::vector<Shard> shards_{1};
   std::vector<std::vector<MetricOp>> journals_;  ///< one per domain
   std::vector<OpRef> flush_order_;               ///< scratch for flush
-  std::function<std::uint32_t(Addr)> group_of_;  ///< host -> canonical group
   std::map<Protocol, FlowSketches> short_sketches_;
 
   bool streaming_ = false;

@@ -503,8 +503,9 @@ void TcpSocket::arm_rto_if_needed() {
   rto_armed_ = true;
   rto_armed_at_ = sim_.now();
   const std::uint64_t gen = ++rto_generation_;
-  rto_event_ = sim_.scheduler().schedule(
-      current_rto(), [this, gen] { on_rto_timer(gen); });
+  rto_sched_ = &sim_.scheduler();
+  rto_event_ = rto_sched_->schedule(current_rto(),
+                                    [this, gen] { on_rto_timer(gen); });
 }
 
 void TcpSocket::restart_rto() {
@@ -514,7 +515,7 @@ void TcpSocket::restart_rto() {
 
 void TcpSocket::cancel_rto() {
   if (!rto_armed_) return;
-  sim_.scheduler().cancel(rto_event_);
+  rto_sched_->cancel(rto_event_);
   ++rto_generation_;
   rto_armed_ = false;
 }

@@ -300,6 +300,10 @@ class TcpSocket : public Endpoint {
 
   // RTO timer (generation-checked lazy cancellation).
   EventId rto_event_{};
+  /// Scheduler the timer was armed on.  Cancellation must go there: the
+  /// socket may be destroyed from another context (a control-window
+  /// reap), where sim_.scheduler() resolves to a different scheduler.
+  Scheduler* rto_sched_ = nullptr;
   std::uint64_t rto_generation_ = 0;
   bool rto_armed_ = false;
   Time rto_armed_at_;  ///< start of the current timer interval (stall base)

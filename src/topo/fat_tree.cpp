@@ -1,6 +1,5 @@
 #include "topo/fat_tree.h"
 
-#include <algorithm>
 #include <initializer_list>
 #include <string>
 
@@ -118,31 +117,15 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   // Domain tagging happens at creation, before any port is wired.
   // Harmless when the simulation never configured domains (everything
   // collapses to the control scheduler), mandatory before add_port()
-  // when it did.
+  // when it did.  Pod p's hosts, edge and agg switches run in domain p;
+  // core c joins domain c % k.
   //
-  // Execution domains depend on the granularity: per-pod puts pod p in
-  // domain p with core c joining domain c % k; per-edge gives every edge
-  // switch and its hosts their own domain (p * k/2 + e) and groups agg +
-  // core switches into per-pod fabric domains after the host groups.
-  // The canonical id is always the edge-level one — flush ordering and
-  // metric grouping key on it, so result bytes cannot depend on the
-  // execution granularity chosen.
-  const bool edge_grain =
-      config_.domain_granularity == DomainGranularity::kEdge;
-  const std::size_t groups = std::size_t(config_.k) * half;
-  const auto host_group = [half](std::uint32_t p, std::uint32_t e) {
-    return std::size_t(p) * half + e;
-  };
-  const auto fabric_domain = [groups](std::uint32_t p) { return groups + p; };
-
   // Hosts first so net_.host(i) is pod-major, edge-major, host-minor.
   for (std::uint32_t p = 0; p < config_.k; ++p) {
     for (std::uint32_t e = 0; e < half; ++e) {
       for (std::uint32_t h = 0; h < hosts; ++h) {
         const Addr a = FatTreeAddr::host(p, e, h);
-        Host& hn = net_.make_host(node_name("h", {p, e, h}), a);
-        hn.set_domain(edge_grain ? host_group(p, e) : p);
-        hn.set_canonical_domain(host_group(p, e));
+        net_.make_host(node_name("h", {p, e, h}), a).set_domain(p);
       }
     }
   }
@@ -151,8 +134,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   for (std::uint32_t p = 0; p < config_.k; ++p) {
     for (std::uint32_t e = 0; e < half; ++e) {
       Switch& sw = net_.make_switch(node_name("edge", {p, e}));
-      sw.set_domain(edge_grain ? host_group(p, e) : p);
-      sw.set_canonical_domain(host_group(p, e));
+      sw.set_domain(p);
       maybe_shared(sw, hosts + half);
       sw.set_router(std::make_unique<EdgeRouter>(p, e, half, hosts));
     }
@@ -161,8 +143,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   for (std::uint32_t p = 0; p < config_.k; ++p) {
     for (std::uint32_t a = 0; a < half; ++a) {
       Switch& sw = net_.make_switch(node_name("agg", {p, a}));
-      sw.set_domain(edge_grain ? fabric_domain(p) : p);
-      sw.set_canonical_domain(fabric_domain(p));
+      sw.set_domain(p);
       maybe_shared(sw, config_.k);
       sw.set_router(std::make_unique<AggRouter>(p, half));
     }
@@ -170,9 +151,7 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
   core_base_ = net_.switch_count();
   for (std::uint32_t c = 0; c < core_count(); ++c) {
     Switch& sw = net_.make_switch(node_name("core", {c}));
-    sw.set_domain(edge_grain ? fabric_domain(c % config_.k)
-                             : c % config_.k);
-    sw.set_canonical_domain(fabric_domain(c % config_.k));
+    sw.set_domain(c % config_.k);
     maybe_shared(sw, config_.k);
     sw.set_router(std::make_unique<CoreRouter>(config_.k));
   }
@@ -214,22 +193,14 @@ FatTree::FatTree(Simulation& sim, FatTreeConfig config)
 
 FatTreeDomainPlan FatTree::domain_plan(const FatTreeConfig& config) {
   FatTreeDomainPlan plan;
-  const Time core = config.core_link_delay.is_zero() ? config.link_delay
-                                                     : config.core_link_delay;
-  // Edge<->agg and agg<->core links cross CANONICAL units at every
-  // granularity (the Network outboxes them even when both ends share an
-  // execution domain), so the lookahead — and with it the whole window
-  // schedule — is the same min over both crossing delays regardless of
-  // the granularity chosen.  That shared schedule is one of the pillars
-  // of cross-granularity byte identity.
-  const Time cross = std::min(config.link_delay, core);
+  // Every pod is one domain, so host<->edge and edge<->agg links stay
+  // inside it; only agg<->core links cross, and the spine delay alone
+  // bounds how soon one domain can affect another.
+  const Time cross = config.core_link_delay.is_zero() ? config.link_delay
+                                                      : config.core_link_delay;
   if (cross <= Time::zero()) return plan;  // zero lookahead: serial fallback
-  const std::size_t groups = std::size_t(config.k) * (config.k / 2);
-  plan.host_groups = groups;
+  plan.domains = config.k;
   plan.lookahead = cross;
-  plan.domains = config.domain_granularity == DomainGranularity::kEdge
-                     ? groups + config.k  // host groups + per-pod fabric
-                     : config.k;
   return plan;
 }
 

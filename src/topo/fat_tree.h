@@ -25,39 +25,15 @@
 
 namespace mmptcp {
 
-/// Parallel decomposition granularity of a FatTree run.
-///
-///   * kPod: one domain per pod (hosts + edge + agg switches), core c in
-///     domain c % k.  k domains — few, fat; best when per-domain load is
-///     balanced.
-///   * kEdge: one domain per edge switch (the switch plus its attached
-///     hosts); agg switches join a per-pod "fabric" domain and core c
-///     joins fabric domain c % k.  k^2/2 host-bearing domains + k fabric
-///     domains — many, thin; more worker slots and cheap skipping of
-///     quiet racks.
-///
-/// Both granularities share one lookahead — min(edge<->agg, agg<->core
-/// delay) — because crossing is a property of the CANONICAL structure:
-/// edge<->agg and agg<->core channels are barrier-flushed at either
-/// granularity, so the window schedule and every delivery order are
-/// granularity-invariant.  Results are therefore byte-identical across
-/// granularities by construction: RNG streams and flow ids key on
-/// host/topology indices, and canonical flush/grouping order keys on
-/// Node::canonical_domain().
-enum class DomainGranularity : std::uint8_t { kPod, kEdge };
-
 /// FatTree construction parameters.
 struct FatTreeConfig {
   std::uint32_t k = 4;                  ///< even, >= 4
   std::uint32_t oversubscription = 1;   ///< hosts per edge = this * k/2
-  /// Parallel decomposition used when the run configures domains.  Pure
-  /// execution knob: main results are byte-identical at either value.
-  DomainGranularity domain_granularity = DomainGranularity::kPod;
   std::uint64_t link_rate_bps = 100'000'000;
   Time link_delay = Time::micros(20);
-  /// Propagation delay of agg<->core links; zero means link_delay.  The
-  /// conservative lookahead is min(link_delay, this): edge<->agg and
-  /// agg<->core links both cross canonical parallel units.
+  /// Propagation delay of agg<->core links; zero means link_delay.  It
+  /// is also the conservative lookahead of a decomposed run: agg<->core
+  /// links are the only ones that cross domains.
   Time core_link_delay = Time::zero();
   QueueLimits queue{100, 0};
   /// Host egress queue.  Default unbounded: a real sender's NIC ring gets
@@ -87,15 +63,14 @@ struct FatTreeAddr {
   static std::uint32_t host_index(Addr a) { return (a.raw & 0xff) - 2; }
 };
 
-/// How a FatTree decomposes into parallel execution domains (see
-/// DomainGranularity for the two layouts).  `host_groups` is the number
-/// of edge-level host groups — the granularity-invariant unit that
-/// metric shards and flow ownership key on, identical at either
-/// granularity so results never depend on the one chosen.
+/// How a FatTree decomposes into parallel execution domains: one per
+/// pod (its hosts, edge and aggregation switches), with core switch c
+/// in domain c % k so the spine spreads evenly.  A channel crosses
+/// domains iff its endpoints' domains differ, so only agg<->core links
+/// cross and the lookahead is the spine delay.
 struct FatTreeDomainPlan {
   std::size_t domains = 1;      ///< 1 = not partitionable, run serial
   Time lookahead = Time::zero();  ///< min cross-domain delay when > 1
-  std::size_t host_groups = 1;  ///< edge-level groups (k^2/2 when > 1)
 };
 
 /// Builder/owner of a FatTree network.
@@ -103,12 +78,11 @@ class FatTree : public PathOracle {
  public:
   FatTree(Simulation& sim, FatTreeConfig config);
 
-  /// The decomposition this config yields (at config.domain_granularity),
-  /// computable before the topology is built (the simulation must
-  /// configure its domains before any node is wired).  Returns a
-  /// single-domain plan — the serial fallback — when the minimum
-  /// cross-domain delay is zero: conservative execution needs strictly
-  /// positive lookahead.
+  /// The decomposition this config yields, computable before the
+  /// topology is built (the simulation must configure its domains
+  /// before any node is wired).  Returns a single-domain plan — the
+  /// serial fallback — when the spine delay is zero: conservative
+  /// execution needs strictly positive lookahead.
   static FatTreeDomainPlan domain_plan(const FatTreeConfig& config);
 
   /// Effective agg<->core propagation delay.

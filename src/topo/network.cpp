@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "util/check.h"
-
 namespace mmptcp {
 
 Host& Network::make_host(std::string name, Addr addr) {
@@ -32,20 +30,11 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   Channel& ab = *channels_.back();
   channels_.push_back(std::make_unique<Channel>(a_sched, spec.delay));
   Channel& ba = *channels_.back();
-  // Crossing is decided on CANONICAL domains, not execution schedulers:
-  // a channel between two canonical units is outboxed and delivered in
-  // the canonical barrier order even when both endpoints happen to share
-  // an execution scheduler at the current granularity.  Same-instant
-  // arrival ties at a queue then resolve identically at every
-  // granularity — a direct insert here at one granularity and a flush
-  // at another would order those ties differently and change results.
-  // With domains unconfigured nothing ever crosses (pure serial path).
-  if (sim_.num_domains() > 0 &&
-      a.canonical_domain() != b.canonical_domain()) {
-    ab.make_cross_domain(
-        a_sched, &outbox(a.canonical_domain(), a.domain(), b.domain()));
-    ba.make_cross_domain(
-        b_sched, &outbox(b.canonical_domain(), b.domain(), a.domain()));
+  // A channel crosses iff its endpoints run in different domains; with
+  // domains unconfigured nothing ever crosses (pure serial path).
+  if (sim_.num_domains() > 0 && a.domain() != b.domain()) {
+    ab.make_cross_domain(a_sched, &outbox(a.domain(), b.domain()));
+    ba.make_cross_domain(b_sched, &outbox(b.domain(), a.domain()));
     cross_delay_min_ = std::min(cross_delay_min_, spec.delay);
     cross_channels_ += 2;
   }
@@ -59,29 +48,16 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   ba.attach_sink(&a, ap);
 }
 
-CrossDomainOutbox& Network::outbox(std::size_t canonical, std::size_t exec,
-                                   std::size_t dst) {
-  if (outbox_exec_.size() <= canonical) {
-    outbox_exec_.resize(canonical + 1, SIZE_MAX);
-  }
-  // A canonical unit split across execution domains would make its
-  // outboxes multi-writer within a window — a topology-construction bug
-  // this flush-ordering scheme cannot canonicalise, so fail loudly.
-  if (outbox_exec_[canonical] == SIZE_MAX) {
-    outbox_exec_[canonical] = exec;
-  } else {
-    check(outbox_exec_[canonical] == exec,
-          "emitters of one canonical domain span execution domains");
-  }
+CrossDomainOutbox& Network::outbox(std::size_t src, std::size_t dst) {
   if (inbound_.size() <= dst) {
     inbound_.resize(dst + 1);
     flush_scratch_.resize(dst + 1);
   }
   for (const Inbound& in : inbound_[dst]) {
-    if (in.src == canonical) return *in.box;
+    if (in.src == src) return *in.box;
   }
   outboxes_.push_back(std::make_unique<CrossDomainOutbox>());
-  inbound_[dst].push_back(Inbound{canonical, outboxes_.back().get()});
+  inbound_[dst].push_back(Inbound{src, outboxes_.back().get()});
   return *outboxes_.back();
 }
 
@@ -109,7 +85,7 @@ void Network::flush_cross_domain_into(std::size_t dst) {
   std::sort(scratch.begin(), scratch.end(),
             [](const FlushRef& x, const FlushRef& y) {
               if (x.at != y.at) return x.at < y.at;
-              if (x.key != y.key) return x.key < y.key;
+              if (x.src != y.src) return x.src < y.src;
               return x.seq < y.seq;
             });
   for (const FlushRef& ref : scratch) {

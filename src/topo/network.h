@@ -60,19 +60,14 @@ class Network {
   /// If an endpoint is a switch with a shared buffer enabled, its egress
   /// port draws from that switch's pool.  Each direction's channel
   /// inserts arrivals into the *receiving* node's domain scheduler; when
-  /// the endpoints live in different CANONICAL domains (and the
-  /// simulation has domains configured) the channel is routed through
-  /// the emitting unit's outbox and registered as a cross-domain edge —
-  /// even when both endpoints share an execution scheduler at the
-  /// current granularity.  Crossing is a property of the canonical
-  /// structure, never of the execution decomposition, so the delivery
-  /// order of every packet (and with it every result byte) is identical
-  /// across granularities.
+  /// the endpoints live in different domains (and the simulation has
+  /// domains configured) the channel is routed through the emitting
+  /// domain's outbox and registered as a cross-domain edge.
   void connect(Node& a, Node& b, const LinkSpec& spec);
 
-  /// Drains every canonical unit's outboxes into the destination
-  /// schedulers in the canonical (arrival time, source canonical domain,
-  /// emission seq) order.  Cheap no-op when nothing crossed.
+  /// Drains every domain's outboxes into the destination schedulers in
+  /// the canonical (arrival time, source domain, emission seq) order.
+  /// Cheap no-op when nothing crossed.
   void flush_cross_domain();
 
   /// The part of flush_cross_domain() bound for execution domain `dst`:
@@ -105,17 +100,12 @@ class Network {
   Simulation& sim() { return sim_; }
 
  private:
-  /// Outbox from one canonical unit to one destination execution
-  /// domain, created on demand.  Also records (and on repeat calls
-  /// re-checks) which execution domain owns the unit: a canonical unit
-  /// must live wholly inside one execution domain or its outboxes would
-  /// be written by two workers in the same window.
-  CrossDomainOutbox& outbox(std::size_t canonical, std::size_t exec,
-                            std::size_t dst);
+  /// Outbox from domain `src` to domain `dst`, created on demand.
+  CrossDomainOutbox& outbox(std::size_t src, std::size_t dst);
 
   struct FlushRef {
     Time at;
-    std::size_t key;  ///< emitting side's canonical domain
+    std::size_t src;  ///< emitting domain
     std::uint64_t seq;
     CrossDomainOutbox::Entry* entry;
   };
@@ -124,21 +114,16 @@ class Network {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  /// One outbox per (emitting CANONICAL domain, destination execution
-  /// domain) pair: the flush key is the emitting unit's index, and
-  /// single-writer safety holds because every canonical unit executes
-  /// inside exactly one domain.  Splitting by destination lets each
-  /// destination drain on its own thread.
+  /// One outbox per (emitting domain, destination domain) pair: only
+  /// the emitting domain's worker posts to it, and splitting by
+  /// destination lets each destination drain on its own thread.
   std::vector<std::unique_ptr<CrossDomainOutbox>> outboxes_;
   struct Inbound {
-    std::size_t src;  ///< emitting canonical unit
+    std::size_t src;  ///< emitting domain
     CrossDomainOutbox* box;
   };
-  /// Per destination execution domain: the outboxes delivering into it.
+  /// Per destination domain: the outboxes delivering into it.
   std::vector<std::vector<Inbound>> inbound_;
-  /// Execution domain owning each canonical unit's outboxes (the
-  /// single-writer invariant above); SIZE_MAX = no emitter yet.
-  std::vector<std::size_t> outbox_exec_;
   /// Per destination: sort scratch, so concurrent drains never share.
   std::vector<std::vector<FlushRef>> flush_scratch_;
   Time cross_delay_min_ = Time::max();

@@ -42,16 +42,8 @@ void Scenario::build() {
     const FatTreeDomainPlan plan = FatTree::domain_plan(cfg_.fat_tree);
     if (plan.domains > 1) {
       sim_.configure_domains(plan.domains);
-      // Shards (flow-id allocation) are per canonical host group so ids
-      // are identical at every granularity; journals are per execution
-      // domain because that is what a worker thread owns.
-      metrics_.configure_shards(plan.host_groups, plan.domains);
-      const std::uint32_t half = cfg_.fat_tree.k / 2;
-      metrics_.set_group_of([half](Addr a) {
-        return FatTreeAddr::pod(a) * half + FatTreeAddr::edge(a);
-      });
+      metrics_.configure_shards(plan.domains);
       domains_ = plan.domains;
-      host_groups_ = plan.host_groups;
       lookahead_ = plan.lookahead;
     }
   }
@@ -62,7 +54,7 @@ void Scenario::build() {
                  cfg_.sim_threads,
                  cfg_.dual_homed ? "dual-homed" : "zero lookahead");
   }
-  flows_.resize(host_groups_);
+  flows_.resize(domains_);
   if (cfg_.dual_homed) {
     dh_ = std::make_unique<DualHomedFatTree>(sim_, cfg_.dual);
     net_ = &dh_->network();
@@ -134,8 +126,8 @@ void Scenario::build() {
 }
 
 std::vector<std::unique_ptr<ClientFlow>>& Scenario::flows_for(const Host& h) {
-  const std::size_t g = h.canonical_domain();
-  return flows_[g < flows_.size() ? g : 0];
+  const std::size_t d = h.domain();
+  return flows_[d < flows_.size() ? d : 0];
 }
 
 const PathOracle& Scenario::oracle() const {
@@ -159,9 +151,7 @@ void Scenario::run() {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
   if (domains_ > 1 && workers > domains_) {
-    std::fprintf(stderr,
-                 "mmptcp: clamping %u workers to %zu domains (use a finer "
-                 "--sim-domains granularity to engage more threads)\n",
+    std::fprintf(stderr, "mmptcp: clamping %u workers to %zu domains\n",
                  workers, domains_);
   }
   Engine engine(sim_, lookahead_, workers);
@@ -336,13 +326,11 @@ PeakQueue Scenario::peak_switch_queue() const {
 namespace {
 
 /// Stops `sim` once all `expected_shorts` completed (elephants never do).
+/// The completion counter is exact here: the run is serial, so nothing
+/// is journaled, and it never streams, so nothing is retired.
 void poll_incast_done(Simulation& sim, const Metrics& metrics,
                       std::uint32_t expected_shorts, Time interval) {
-  std::uint32_t done = 0;
-  for (const auto* rec : metrics.flows()) {
-    if (!rec->long_flow && rec->is_complete()) ++done;
-  }
-  if (done >= expected_shorts) {
+  if (metrics.short_flows_completed() >= expected_shorts) {
     sim.scheduler().stop();
     return;
   }
@@ -431,7 +419,7 @@ IncastResult run_incast(const IncastConfig& config) {
   const PeakQueue peak = peak_switch_queue(ft.network());
   result.peak_queue_packets = peak.packets;
   result.peak_queue_at = peak.at;
-  result.events_executed = sim.scheduler().executed();
+  result.events_executed = sim.total_executed();
   if (trace) {
     trace->close();
     result.trace_lines = trace->lines();

@@ -60,12 +60,11 @@ struct ScenarioConfig {
   // --- control ---
   std::uint64_t seed = 1;
   /// Worker threads for domain-parallel event execution.  FatTree runs
-  /// always decompose into domains (granularity set by
-  /// fat_tree.domain_granularity: per-pod or per-edge-switch) executed
-  /// in conservative lookahead windows (see sim/engine.h); this only
-  /// sets how many threads run the window, so the main results are
-  /// byte-identical at any value and at either granularity.  0 means
-  /// auto: hardware_concurrency, clamped (loudly) to the domain count.
+  /// always decompose into one domain per pod (FatTree::domain_plan),
+  /// executed in conservative lookahead windows (see sim/engine.h);
+  /// this only sets how many threads run the window, so the main
+  /// results are byte-identical at any value.  0 means auto:
+  /// hardware_concurrency, clamped (loudly) to the domain count.
   /// Forced to 1 when tracing (identical schedule either way) and for
   /// dual-homed topologies (no decomposition yet).
   unsigned sim_threads = 1;
@@ -122,10 +121,6 @@ class Scenario {
   /// Parallel decomposition actually used: >1 when the run executes in
   /// domain windows (the conservative window width is lookahead()).
   std::size_t domain_count() const { return domains_; }
-  /// Canonical (granularity-invariant) host groups: one per edge switch
-  /// when decomposed, 1 when serial.  Flow ownership and metric shards
-  /// key on these, never on execution domains.
-  std::size_t host_group_count() const { return host_groups_; }
   Time lookahead() const { return lookahead_; }
   /// Worker threads the last run() actually used (after auto-resolution
   /// and domain clamping); 0 before run().
@@ -165,9 +160,8 @@ class Scenario {
   std::size_t pick_destination(std::size_t role_idx, std::size_t src_idx);
   void periodic_check();
   Host& host(std::size_t i) { return net_->host(i); }
-  /// Flow list owned by `h`'s canonical host group (index 0 when the
-  /// run is serial).  Only ever pushed from `h`'s own scheduler, which
-  /// is the unique executor of that group at any granularity.
+  /// Flow list owned by `h`'s domain (index 0 when the run is serial).
+  /// Only ever pushed from `h`'s own scheduler.
   std::vector<std::unique_ptr<ClientFlow>>& flows_for(const Host& h);
 
   ScenarioConfig cfg_;
@@ -180,11 +174,9 @@ class Scenario {
   TransportConfig transport_;  ///< cfg_.transport with the oracle filled in
   TransportConfig long_transport_;  ///< transport for background flows
   std::unique_ptr<SinkFarm> sinks_;
-  /// Flow ownership is sharded by canonical host group (granularity-
-  /// invariant, so reap order — and every result byte — is identical at
-  /// pod and edge decomposition): each group's events only ever push
-  /// into their own list from the one domain that executes the group,
-  /// the control thread reaps from all of them while workers are parked.
+  /// Flow ownership is sharded by domain: each domain's events only
+  /// ever push into their own list, the control thread reaps from all
+  /// of them while workers are parked.
   std::vector<std::vector<std::unique_ptr<ClientFlow>>> flows_;
   std::vector<std::size_t> perm_;
   std::vector<std::size_t> long_hosts_;
@@ -200,7 +192,6 @@ class Scenario {
   std::vector<std::uint32_t> role_quota_;
   std::vector<std::uint32_t> shorts_by_role_;
   std::size_t domains_ = 1;
-  std::size_t host_groups_ = 1;
   Time lookahead_ = Time::zero();
   unsigned workers_used_ = 0;
   EngineStats engine_stats_;

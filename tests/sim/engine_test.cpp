@@ -257,10 +257,9 @@ TEST(Engine, ParkedWorkersWakeAcrossManySparseWindows) {
 }
 
 TEST(Engine, ManyDomainsPackIntoTheClaimWord) {
-  // More domains than a typical worker pool (edge granularity yields
-  // k^2/2 + k of them): counts and indices share the claim word's 16-bit
-  // fields with the epoch above, and every event must still run exactly
-  // once.
+  // More domains than a typical worker pool (a k=24 fabric has 24
+  // pods): counts and indices share the claim word's 16-bit fields with
+  // the epoch above, and every event must still run exactly once.
   Simulation sim(9);
   constexpr std::size_t kDomains = 24;
   sim.configure_domains(kDomains);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "sim/parallel.h"
 
 namespace mmptcp {
 namespace {
@@ -202,6 +203,39 @@ TEST(TcpSocket, ClientOnlyApisGuarded) {
   Packet syn;
   syn.flags = pkt_flags::kSyn;
   EXPECT_THROW(client.accept(syn), InvariantError);
+}
+
+TEST(TcpSocket, DestroyedFromTheControlPathCancelsItsRto) {
+  // A socket arms its RTO on the scheduler of the domain it runs in, but
+  // a Scenario reaps finished flows from the control window, where
+  // sim.scheduler() is the control scheduler.  The timer must still be
+  // cancelled where it was armed, or it fires on a destroyed socket.
+  Simulation sim(1);
+  sim.configure_domains(2);
+  Network net(sim);
+  Host& a = net.make_host("a", Addr{0x0a000001});
+  Host& b = net.make_host("b", Addr{0x0a000002});
+  a.set_domain(1);
+  b.set_domain(1);
+  net.connect(a, b, LinkSpec{});
+  Metrics metrics;
+  const auto& rec = metrics.on_flow_started(Protocol::kTcp, a.addr(),
+                                            b.addr(), 0, false, sim.now());
+  TcpConfig cfg;
+  Scheduler& domain = sim.domain_scheduler(1);
+  std::unique_ptr<TcpSocket> client;
+  {
+    par::ScopedDomain pin(&domain, 1);
+    client = std::make_unique<TcpSocket>(
+        sim, metrics, a, SocketRole::kClient, b.addr(), a.ephemeral_port(),
+        5001, a.next_token(), rec.flow_id, cfg,
+        std::make_unique<NewRenoCc>(cfg.mss, cfg.initial_cwnd_segments));
+    client->connect_and_send(1000);
+  }
+  // The SYN's transmit completion and the RTO are both pending.
+  ASSERT_EQ(domain.pending(), 2u);
+  client.reset();
+  EXPECT_EQ(domain.pending(), 1u);
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
-// Domain decomposition of the FatTree: the per-pod and per-edge plans,
-// the node tagging they rely on, and the cross-domain accounting the
-// Network derives from them.  Crossing is canonical: edge<->agg and
-// agg<->core links are cross-domain at BOTH granularities, so the
-// lookahead is min(edge<->agg, agg<->core delay) either way.
+// Domain decomposition of the FatTree: the per-pod plan, the node
+// tagging it relies on, and the cross-domain accounting the Network
+// derives from it.  A channel crosses iff its endpoints' domains differ,
+// so only agg<->core links cross and the lookahead is the spine delay.
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "topo/fat_tree.h"
 
@@ -18,35 +15,18 @@ TEST(DomainPlan, OneDomainPerPod) {
   cfg.k = 4;
   const FatTreeDomainPlan plan = FatTree::domain_plan(cfg);
   EXPECT_EQ(plan.domains, 4u);
-  EXPECT_EQ(plan.host_groups, 8u);
   EXPECT_EQ(plan.lookahead, cfg.link_delay);
 }
 
-TEST(DomainPlan, EdgeGranularityAddsFabricDomains) {
-  // k^2/2 host-bearing domains plus one fabric domain per pod; the host
-  // group count (the canonical unit) is identical at both granularities.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  cfg.domain_granularity = DomainGranularity::kEdge;
-  const FatTreeDomainPlan plan = FatTree::domain_plan(cfg);
-  EXPECT_EQ(plan.domains, 12u);  // 8 host groups + 4 fabric
-  EXPECT_EQ(plan.host_groups, 8u);
-  EXPECT_EQ(plan.lookahead, cfg.link_delay);
-}
-
-TEST(DomainPlan, LookaheadIsTheMinCrossingDelayAtEveryGranularity) {
-  // A longer spine does NOT widen the window: edge<->agg links cross
-  // canonical units too, so the conservative lookahead stays at the
-  // shorter of the two crossing delays — at either granularity, which
-  // is what keeps the window schedule (and result bytes) identical.
+TEST(DomainPlan, LookaheadIsTheSpineDelay) {
+  // Edge<->agg links stay inside a pod, so the spine alone sets the
+  // window: a long spine widens it, a short one narrows it.
   FatTreeConfig cfg;
   cfg.k = 8;
   cfg.core_link_delay = Time::micros(100);
-  EXPECT_EQ(FatTree::domain_plan(cfg).lookahead, cfg.link_delay);
-  cfg.domain_granularity = DomainGranularity::kEdge;
-  EXPECT_EQ(FatTree::domain_plan(cfg).lookahead, cfg.link_delay);
+  EXPECT_EQ(FatTree::domain_plan(cfg).lookahead, Time::micros(100));
 
-  cfg.core_link_delay = Time::micros(5);  // spine shorter than the edge
+  cfg.core_link_delay = Time::micros(5);
   EXPECT_EQ(FatTree::domain_plan(cfg).lookahead, Time::micros(5));
 }
 
@@ -63,95 +43,42 @@ TEST(DomainPlan, ZeroCrossDelayFallsBackToSerial) {
 
 TEST(DomainPlan, EveryNodeTaggedByPodRule) {
   // Hosts, edge and aggregation switches carry their pod's domain; core
-  // switch c goes to domain c % k so the spine spreads evenly.  The
-  // canonical domain is always the edge-level one.
+  // switch c goes to domain c % k so the spine spreads evenly.
   FatTreeConfig cfg;
   cfg.k = 4;
   cfg.oversubscription = 2;
   Simulation sim(1);
   FatTree ft(sim, cfg);
-  const std::size_t groups = std::size_t(cfg.k) * (cfg.k / 2);
   for (std::uint32_t p = 0; p < ft.pods(); ++p) {
     for (std::uint32_t e = 0; e < ft.edges_per_pod(); ++e) {
-      const std::size_t group = std::size_t(p) * ft.edges_per_pod() + e;
       EXPECT_EQ(ft.edge_switch(p, e).domain(), p);
-      EXPECT_EQ(ft.edge_switch(p, e).canonical_domain(), group);
       for (std::uint32_t h = 0; h < ft.hosts_per_edge(); ++h) {
         EXPECT_EQ(ft.host_at(p, e, h).domain(), p);
-        EXPECT_EQ(ft.host_at(p, e, h).canonical_domain(), group);
       }
     }
     for (std::uint32_t a = 0; a < ft.aggs_per_pod(); ++a) {
       EXPECT_EQ(ft.agg_switch(p, a).domain(), p);
-      EXPECT_EQ(ft.agg_switch(p, a).canonical_domain(), groups + p);
     }
   }
   for (std::uint32_t c = 0; c < ft.core_count(); ++c) {
     EXPECT_EQ(ft.core_switch(c).domain(), c % cfg.k);
-    EXPECT_EQ(ft.core_switch(c).canonical_domain(), groups + c % cfg.k);
   }
 }
 
-TEST(DomainPlan, EveryNodeTaggedByEdgeRule) {
-  // Per-edge granularity: execution domain == canonical domain for every
-  // node — each edge switch plus its hosts is its own domain, agg and
-  // core switches share per-pod fabric domains after the host groups.
+TEST(DomainPlan, OnlySpineLinksCrossPods) {
+  // k=4: of the k x (k/2)^2 = 16 agg<->core links, core c's link into
+  // pod c%k stays inside domain c%k, so 12 cross (24 channels).
+  // Host<->edge and edge<->agg links never cross.  A spine longer than
+  // the rest of the fabric shows the minimum is taken over crossing
+  // links only.
   FatTreeConfig cfg;
   cfg.k = 4;
-  cfg.domain_granularity = DomainGranularity::kEdge;
-  Simulation sim(1);
-  FatTree ft(sim, cfg);
-  const std::size_t groups = std::size_t(cfg.k) * (cfg.k / 2);
-  for (std::uint32_t p = 0; p < ft.pods(); ++p) {
-    for (std::uint32_t e = 0; e < ft.edges_per_pod(); ++e) {
-      const std::size_t group = std::size_t(p) * ft.edges_per_pod() + e;
-      EXPECT_EQ(ft.edge_switch(p, e).domain(), group);
-      EXPECT_EQ(ft.edge_switch(p, e).canonical_domain(), group);
-      for (std::uint32_t h = 0; h < ft.hosts_per_edge(); ++h) {
-        EXPECT_EQ(ft.host_at(p, e, h).domain(), group);
-      }
-    }
-    for (std::uint32_t a = 0; a < ft.aggs_per_pod(); ++a) {
-      EXPECT_EQ(ft.agg_switch(p, a).domain(), groups + p);
-    }
-  }
-  for (std::uint32_t c = 0; c < ft.core_count(); ++c) {
-    EXPECT_EQ(ft.core_switch(c).domain(), groups + c % cfg.k);
-  }
-}
-
-// Cross-domain channel census for k=4: every edge<->agg link crosses
-// canonical units (k pods x (k/2)^2 links = 16); of the k x (k/2)^2 = 16
-// agg<->core links, core c's link into pod c%k stays inside fabric unit
-// c%k, so 12 cross.  Host<->edge links never cross.  28 links = 56
-// channels.
-constexpr std::size_t kExpectedCrossChannelsK4 = 2 * (16 + 12);
-
-TEST(DomainPlan, FabricLinksCrossCanonicalUnitsAtPodGranularity) {
-  FatTreeConfig cfg;
-  cfg.k = 4;
+  cfg.core_link_delay = Time::micros(100);
   Simulation sim(1);
   sim.configure_domains(FatTree::domain_plan(cfg).domains);
   FatTree ft(sim, cfg);
-  EXPECT_EQ(ft.network().cross_domain_channel_count(),
-            kExpectedCrossChannelsK4);
-  EXPECT_EQ(ft.network().min_cross_domain_delay(),
-            std::min(cfg.link_delay, ft.core_delay()));
-}
-
-TEST(DomainPlan, CrossDomainCensusIsGranularityInvariant) {
-  // The same channels cross at edge granularity — crossing keys on the
-  // canonical structure, which both granularities share.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  cfg.domain_granularity = DomainGranularity::kEdge;
-  Simulation sim(1);
-  sim.configure_domains(FatTree::domain_plan(cfg).domains);
-  FatTree ft(sim, cfg);
-  EXPECT_EQ(ft.network().cross_domain_channel_count(),
-            kExpectedCrossChannelsK4);
-  EXPECT_EQ(ft.network().min_cross_domain_delay(),
-            std::min(cfg.link_delay, ft.core_delay()));
+  EXPECT_EQ(ft.network().cross_domain_channel_count(), 24u);
+  EXPECT_EQ(ft.network().min_cross_domain_delay(), ft.core_delay());
 }
 
 TEST(DomainPlan, UnconfiguredSimulationWiresEverythingSerial) {

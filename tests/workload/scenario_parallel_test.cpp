@@ -1,7 +1,6 @@
-// Domain-parallel Scenario execution: decomposition is always on for
-// FatTree runs, sim_threads only picks the worker count and
-// fat_tree.domain_granularity only picks the domain layout — the
-// results are byte-identical at any combination of the two.
+// Domain-parallel Scenario execution: decomposition (one domain per
+// pod) is always on for FatTree runs and sim_threads only picks the
+// worker count, so the results are byte-identical at any value.
 
 #include <algorithm>
 #include <chrono>
@@ -14,12 +13,10 @@
 namespace mmptcp {
 namespace {
 
-ScenarioConfig small(unsigned sim_threads,
-                     DomainGranularity granularity = DomainGranularity::kPod) {
+ScenarioConfig small(unsigned sim_threads) {
   ScenarioConfig cfg;
   cfg.fat_tree.k = 4;
   cfg.fat_tree.oversubscription = 2;
-  cfg.fat_tree.domain_granularity = granularity;
   cfg.transport.protocol = Protocol::kMmptcp;
   cfg.transport.subflows = 4;
   cfg.short_flow_count = 60;
@@ -54,30 +51,21 @@ Digest digest_of(Scenario& sc) {
                 sc.end_time()};
 }
 
-Digest run_digest(unsigned sim_threads,
-                  DomainGranularity granularity = DomainGranularity::kPod) {
-  Scenario sc(small(sim_threads, granularity));
+Digest run_digest(unsigned sim_threads) {
+  Scenario sc(small(sim_threads));
   sc.run();
   return digest_of(sc);
 }
 
 TEST(ScenarioParallel, FatTreeRunsDecomposePerPod) {
-  Scenario sc(small(1));
+  // The window is the spine delay, not the shorter edge<->agg delay:
+  // only agg<->core links cross pods.
+  ScenarioConfig cfg = small(1);
+  cfg.fat_tree.core_link_delay = Time::micros(100);
+  Scenario sc(cfg);
   sc.run();
   EXPECT_EQ(sc.domain_count(), 4u);
-  EXPECT_EQ(sc.host_group_count(), 8u);
-  EXPECT_EQ(sc.lookahead(), small(1).fat_tree.link_delay);
-  EXPECT_EQ(sc.short_completion_ratio(), 1.0);
-}
-
-TEST(ScenarioParallel, EdgeGranularityDecomposesPerEdgeSwitch) {
-  Scenario sc(small(1, DomainGranularity::kEdge));
-  sc.run();
-  EXPECT_EQ(sc.domain_count(), 12u);  // 8 host groups + 4 fabric domains
-  EXPECT_EQ(sc.host_group_count(), 8u);
-  // Same lookahead as per-pod: crossing is canonical, so the window
-  // schedule does not depend on the granularity.
-  EXPECT_EQ(sc.lookahead(), small(1).fat_tree.link_delay);
+  EXPECT_EQ(sc.lookahead(), Time::micros(100));
   EXPECT_EQ(sc.short_completion_ratio(), 1.0);
 }
 
@@ -91,45 +79,34 @@ TEST(ScenarioParallel, ResultsAreIdenticalAtAnyThreadCount) {
   EXPECT_EQ(run_digest(4), one);
 }
 
-TEST(ScenarioParallel, ResultsAreIdenticalAcrossGranularities) {
-  // The other axis of the determinism grid: per-edge decomposition (more,
-  // thinner domains, different schedulers executing the same canonical
-  // units) against the per-pod digest, at several worker counts.
-  const Digest pod = run_digest(1);
-  EXPECT_EQ(run_digest(1, DomainGranularity::kEdge), pod);
-  EXPECT_EQ(run_digest(2, DomainGranularity::kEdge), pod);
-  EXPECT_EQ(run_digest(4, DomainGranularity::kEdge), pod);
-}
-
 TEST(ScenarioParallel, SkewedHotspotBytesUnmovedBySchedulerOptimisations) {
   // Maximal skew for the scheduler optimisations: most shorts target one
-  // rack, so at edge granularity the hot rack's domain dwarfs the rest
-  // (cost-ordered claiming starts it first) and many racks go quiet for
-  // whole windows (quiet-domain skip drops them).  Both are pure
-  // scheduling: every digest byte must match the serial per-pod run.
-  auto skewed = [](unsigned threads, DomainGranularity g) {
-    ScenarioConfig cfg = small(threads, g);
+  // rack, so pod 0's domain dwarfs the rest (cost-ordered claiming
+  // starts it first) and quiet pods sit out whole windows (quiet-domain
+  // skip drops them).  Both are pure scheduling: every digest byte must
+  // match the serial run.
+  auto skewed = [](unsigned threads) {
+    ScenarioConfig cfg = small(threads);
     cfg.hotspot_fraction = 0.9;
     Scenario sc(cfg);
     sc.run();
     return digest_of(sc);
   };
-  const Digest base = skewed(1, DomainGranularity::kPod);
-  EXPECT_EQ(skewed(4, DomainGranularity::kPod), base);
-  EXPECT_EQ(skewed(1, DomainGranularity::kEdge), base);
-  EXPECT_EQ(skewed(4, DomainGranularity::kEdge), base);
+  const Digest base = skewed(1);
+  EXPECT_EQ(skewed(2), base);
+  EXPECT_EQ(skewed(4), base);
 }
 
 TEST(ScenarioParallel, EngineTelemetryAccountsForEveryDomain) {
-  ScenarioConfig cfg = small(2, DomainGranularity::kEdge);
+  ScenarioConfig cfg = small(2);
   cfg.hotspot_fraction = 0.9;
   Scenario sc(cfg);
   sc.run();
   const EngineStats& es = sc.engine_stats();
   EXPECT_GT(es.windows, 0u);
   EXPECT_GT(es.wall_ns, 0u);
-  // Skewed traffic at edge granularity must leave quiet racks unclaimed,
-  // and claimed + skipped must cover every domain of every window.
+  // Skewed traffic must leave quiet pods unclaimed, and claimed +
+  // skipped must cover every domain of every window.
   EXPECT_GT(es.domains_skipped, 0u);
   EXPECT_EQ(es.domains_claimed + es.domains_skipped,
             es.windows * sc.domain_count());
@@ -188,35 +165,6 @@ TEST(ScenarioParallel, FourThreadsBeatOneOnWideWindows) {
   const double serial = wall(1);
   const double parallel = wall(4);
   EXPECT_LT(parallel, serial);  // directional: threads must not hurt
-}
-
-TEST(ScenarioParallel, EdgeGranularityKeepsPaceAtEightWorkers) {
-  // Hardware-gated half of the granularity story: with 8+ real cores on
-  // a k=8 run, per-pod granularity caps at 8 fat domains while per-edge
-  // offers 40 thin ones — busiest-first claiming and quiet-rack skipping
-  // must make the finer layout at least competitive (small slack absorbs
-  // wall-clock noise), and the skip telemetry must actually engage.
-  if (std::thread::hardware_concurrency() < 8) {
-    GTEST_SKIP() << "needs >= 8 hardware threads, have "
-                 << std::thread::hardware_concurrency();
-  }
-  auto wall = [](DomainGranularity g, EngineStats* stats) {
-    ScenarioConfig cfg = small(8, g);
-    cfg.fat_tree.k = 8;
-    cfg.short_flow_count = 2000;
-    const auto t0 = std::chrono::steady_clock::now();
-    Scenario sc(cfg);
-    sc.run();
-    if (stats != nullptr) *stats = sc.engine_stats();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-  const double pod = wall(DomainGranularity::kPod, nullptr);
-  EngineStats es;
-  const double edge = wall(DomainGranularity::kEdge, &es);
-  EXPECT_GT(es.domains_skipped, 0u);
-  EXPECT_LT(edge, pod * 1.15);
 }
 
 }  // namespace
