@@ -133,7 +133,7 @@ void BM_EndToEndContendedMix(benchmark::State& state) {
     cfg.max_sim_time = Time::seconds(20);
     Scenario sc(cfg);
     sc.run();
-    events += sc.sim().scheduler().executed();
+    events += sc.sim().total_executed();  // control + every domain
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["events"] =

@@ -15,18 +15,21 @@ int main() {
                "RTOs", "SYN timeouts"});
   for (Protocol proto : {Protocol::kTcp, Protocol::kMptcp,
                          Protocol::kPacketScatter, Protocol::kMmptcp}) {
-    IncastConfig cfg;
+    ScenarioConfig cfg;
     cfg.fat_tree.k = 4;
     cfg.fat_tree.oversubscription = 4;  // 64 hosts
     cfg.transport.protocol = proto;
     cfg.transport.subflows = 4;
-    cfg.senders = 32;
-    cfg.bytes = 70 * 1024;
-    const IncastResult r = run_incast(cfg);
-    table.add_row({to_string(proto), Table::num(r.makespan.to_millis(), 1),
-                   Table::num(r.fct_ms.mean(), 1),
-                   Table::num(r.fct_ms.percentile(99), 1),
-                   Table::num(r.rtos), Table::num(r.syn_timeouts)});
+    cfg.incast_senders = 32;
+    cfg.short_flow_bytes = 70 * 1024;
+    cfg.max_sim_time = Time::seconds(60);
+    Scenario sc(cfg);
+    sc.run();
+    const Summary fct = sc.short_fct_ms();
+    const std::uint64_t syn = sc.short_syn_timeouts();
+    table.add_row({to_string(proto), Table::num(sc.makespan().to_millis(), 1),
+                   Table::num(fct.mean(), 1), Table::num(fct.percentile(99), 1),
+                   Table::num(sc.short_flow_rtos() - syn), Table::num(syn)});
     std::printf("%s done\n", to_string(proto).c_str());
   }
   std::printf("\n32 senders x 70KB -> 1 receiver, k=4 FatTree @100Mb/s:\n\n");

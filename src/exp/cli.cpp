@@ -61,7 +61,7 @@ struct CliOptions {
   bool no_json = false;
 };
 
-/// Reads the engine + scale flags shared by mmptcp_exp and the wrappers.
+/// Reads the engine + scale flags of --run.
 CliOptions parse_cli(Flags& flags) {
   CliOptions o;
   o.scale = parse_scale(flags);
@@ -530,26 +530,6 @@ int exp_main(int argc, char** argv) {
       return 1;
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
-
-int run_registered_main(const std::string& name, int argc, char** argv) {
-  try {
-    register_builtin_experiments();
-    Flags flags(argc, argv);
-    CliOptions cli = parse_cli(flags);
-    if (flags.help_requested()) {
-      std::fputs(flags.help(argv[0]).c_str(), stdout);
-      return 0;
-    }
-    flags.check_unknown();
-
-    const ExperimentSpec* spec = Registry::global().find(name);
-    check(spec != nullptr, "bench wrapper names unknown spec: " + name);
-    return run_one(*spec, cli) == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -5,12 +5,12 @@
 // the engine's job.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 
 #include "exp/perf_micro.h"
 #include "exp/registry.h"
+#include "exp/runner.h"
 #include "util/check.h"
 #include "util/rss.h"
 #include "workload/traffic_matrix.h"
@@ -45,34 +45,58 @@ void append_flow_time_metrics(RunOutcome& o, const FlowSketches& s) {
   o.set_sketch("fct_ms", s.fct_ms);
 }
 
-/// Standard metric set of a Scenario-based run.  With exact_stats off the
-/// classic FCT metrics fall back to the streaming sketch (documented in
-/// bench/baselines/README.md; gated specs keep the exact path).
-RunOutcome scenario_outcome(const RunResult& r) {
+/// Reports what every Scenario run costs: its executed events (run_sweep
+/// turns them into events_per_second) and, when traced, the flight
+/// recorder's volume.  Sidecar only: the main JSON must not differ
+/// between traced and untraced sweeps.
+void append_run_volume(RunOutcome& o, Scenario& sc) {
+  o.events = sc.sim().total_executed();
+  if (const TraceRecorder* trace = sc.trace()) {
+    o.set_timing("trace_lines", double(trace->lines()));
+    o.set_timing("trace_bytes", double(trace->bytes_written()));
+  }
+}
+
+/// Runs one Scenario and reports the standard metric set.  With
+/// exact_stats off the classic FCT metrics fall back to the streaming
+/// sketch (documented in bench/baselines/README.md; gated specs keep the
+/// exact path).
+RunOutcome scenario_outcome(const ScenarioConfig& cfg) {
+  Scenario sc(cfg);
+  sc.run();
+  const Summary fct = cfg.exact_stats ? sc.short_fct_ms() : Summary{};
+  const bool exact = fct.count() > 0;
+  const FlowSketches& sketches =
+      sc.metrics().short_flow_sketches(cfg.transport.protocol);
+  const QuantileSketch& sk = sketches.fct_ms;
+  const Summary goodput = sc.long_goodput_mbps();
+  const auto layers = sc.layer_stats();
+  const auto loss = [&layers](LinkLayer layer) {
+    const auto it = layers.find(layer);
+    return it != layers.end() ? it->second.loss_rate() : 0.0;
+  };
   RunOutcome o;
-  const bool exact = r.fct_ms.count() > 0;
-  const QuantileSketch& sk = r.short_sketches.fct_ms;
-  o.set("mean_ms", exact ? r.fct_ms.mean() : sk.mean());
-  o.set("stddev_ms", exact ? r.fct_ms.stddev() : sk.stddev());
-  o.set("p50_ms", exact ? r.fct_ms.percentile(50) : sk.quantile(0.5));
-  o.set("p99_ms", exact ? r.fct_ms.percentile(99) : sk.quantile(0.99));
-  o.set("max_ms", exact ? r.fct_ms.max() : sk.max());
-  o.set("flows_with_rto", double(r.flows_with_rto));
-  o.set("rtos", double(r.rtos));
-  o.set("spurious_rtx", double(r.spurious));
-  o.set("completion", r.completion);
-  o.set("long_goodput_mbps",
-        r.long_goodput.count() ? r.long_goodput.mean() : 0);
-  o.set("utilization", r.utilization);
-  o.set("core_loss", r.core_loss);
-  o.set("agg_loss", r.agg_loss);
-  o.set("ecn_marked", double(r.ecn_marked));
-  o.set("peak_queue_pkts", double(r.peak_queue_pkts));
-  o.set("p999_ms", exact ? r.fct_ms.p999() : sk.quantile(0.999));
+  o.set("mean_ms", exact ? fct.mean() : sk.mean());
+  o.set("stddev_ms", exact ? fct.stddev() : sk.stddev());
+  o.set("p50_ms", exact ? fct.percentile(50) : sk.quantile(0.5));
+  o.set("p99_ms", exact ? fct.percentile(99) : sk.quantile(0.99));
+  o.set("max_ms", exact ? fct.max() : sk.max());
+  o.set("flows_with_rto", double(sc.short_flows_with_rto()));
+  o.set("rtos", double(sc.short_flow_rtos()));
+  o.set("spurious_rtx", double(sc.total_spurious_retransmits()));
+  o.set("completion", sc.short_completion_ratio());
+  o.set("long_goodput_mbps", goodput.count() ? goodput.mean() : 0);
+  o.set("utilization", sc.network_utilization());
+  o.set("core_loss", loss(LinkLayer::kAggCore));
+  o.set("agg_loss", loss(LinkLayer::kEdgeAgg));
+  o.set("ecn_marked", double(sc.ecn_marked_packets()));
+  o.set("peak_queue_pkts", double(sc.peak_switch_queue_packets()));
+  o.set("p999_ms", exact ? fct.p999() : sk.quantile(0.999));
   // Routing-bug canary: nonzero means a switch silently dropped packets
   // whose route fell off the table.  Always zero in a healthy fabric.
-  o.set("unroutable", double(r.unroutable));
-  append_flow_time_metrics(o, r.short_sketches);
+  o.set("unroutable", double(sc.network().unroutable_total()));
+  append_flow_time_metrics(o, sketches);
+  append_run_volume(o, sc);
   return o;
 }
 
@@ -102,6 +126,24 @@ void append_engine_timings(RunOutcome& o, const Scenario& sc) {
                    ? double(es.barrier_wait_ns) / double(es.wall_ns)
                    : 0);
   o.set_timing("sim_workers", double(sc.workers_used()));
+}
+
+/// Gates for the engine telemetry above: deterministic for a given build
+/// and configuration.
+std::vector<MetricTolerance> engine_tolerances() {
+  return {
+      {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
+      {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
+      {.pattern = "avg_active*",
+       .warn_pct = 10,
+       .fail_pct = 50,
+       .abs_slack = 0.5},
+      {.pattern = "barrier_wait_share*",
+       .warn_pct = 100,
+       .fail_pct = 1000,
+       .abs_slack = 0.2},
+      {.pattern = "sim_workers*", .warn_pct = 100, .fail_pct = 1e9},
+  };
 }
 
 /// Figure-1(b)/(c) style scatter point: band histogram metrics plus a
@@ -135,6 +177,7 @@ RunOutcome scatter_outcome(const std::string& exp_name,
 
   write_flow_csv(sc, ctx.out_dir + "/" + exp_name + "_flows_seed" +
                          std::to_string(ctx.seed) + ".csv");
+  append_run_volume(o, sc);
   return o;
 }
 
@@ -163,8 +206,7 @@ void register_fig1(Registry& r) {
           [](const RunContext& ctx) {
             const auto n =
                 static_cast<std::uint32_t>(ctx.params.get_int("subflows"));
-            return scenario_outcome(
-                run_scenario(point_scenario(ctx, Protocol::kMptcp, n)));
+            return scenario_outcome(point_scenario(ctx, Protocol::kMptcp, n));
           },
   });
 
@@ -201,6 +243,19 @@ void register_fig1(Registry& r) {
   });
 }
 
+/// N-to-1 burst grid point shared by the incast specs: the scale's
+/// fabric, flow size and subflows, `senders` from the grid, a 10 ms
+/// completion poll and a 60 s horizon.
+ScenarioConfig burst_scenario(const RunContext& ctx) {
+  ScenarioConfig cfg =
+      point_scenario(ctx, Protocol::kMmptcp, ctx.scale.subflows);
+  cfg.incast_senders =
+      static_cast<std::uint32_t>(ctx.params.get_int("senders"));
+  cfg.check_interval = Time::millis(10);
+  cfg.max_sim_time = Time::seconds(60);
+  return cfg;
+}
+
 void register_incast(Registry& r) {
   r.add({
       .name = "incast",
@@ -226,30 +281,25 @@ void register_incast(Registry& r) {
           },
       .run =
           [](const RunContext& ctx) {
-            IncastConfig cfg;
-            cfg.fat_tree.k = ctx.scale.k;
-            cfg.fat_tree.oversubscription = ctx.scale.oversubscription;
+            ScenarioConfig cfg = burst_scenario(ctx);
             cfg.fat_tree.shared_buffer = ctx.params.get_bool("shared_buffer");
             cfg.transport.protocol = ctx.params.get_protocol("protocol");
-            cfg.transport.subflows = ctx.scale.subflows;
-            cfg.senders =
-                static_cast<std::uint32_t>(ctx.params.get_int("senders"));
-            cfg.bytes = ctx.scale.short_bytes;
-            cfg.seed = ctx.seed;
-            cfg.trace = ctx.trace;
-            cfg.logger = ctx.logger;
-            const IncastResult res = run_incast(cfg);
+            Scenario sc(cfg);
+            sc.run();
+            const Summary fct = sc.short_fct_ms();
+            const std::uint64_t syn = sc.short_syn_timeouts();
             RunOutcome o;
-            o.set("makespan_ms", res.makespan.to_millis());
-            o.set("mean_fct_ms", res.fct_ms.count() ? res.fct_ms.mean() : 0);
-            o.set("p99_fct_ms",
-                  res.fct_ms.count() ? res.fct_ms.percentile(99) : 0);
-            o.set("rtos", double(res.rtos));
-            o.set("syn_timeouts", double(res.syn_timeouts));
-            o.set("fast_rtx", double(res.fast_retransmits));
-            o.set("completion", res.completion_ratio);
-            o.set("p999_fct_ms", res.fct_ms.count() ? res.fct_ms.p999() : 0);
-            append_flow_time_metrics(o, res.short_sketches);
+            o.set("makespan_ms", sc.makespan().to_millis());
+            o.set("mean_fct_ms", fct.count() ? fct.mean() : 0);
+            o.set("p99_fct_ms", fct.count() ? fct.percentile(99) : 0);
+            o.set("rtos", double(sc.short_flow_rtos() - syn));
+            o.set("syn_timeouts", double(syn));
+            o.set("fast_rtx", double(sc.short_fast_retransmits()));
+            o.set("completion", sc.short_completion_ratio());
+            o.set("p999_fct_ms", fct.count() ? fct.p999() : 0);
+            append_flow_time_metrics(
+                o, sc.metrics().short_flow_sketches(cfg.transport.protocol));
+            append_run_volume(o, sc);
             return o;
           },
       // Big fan-ins dominate the sweep's runtime: claim them first so a
@@ -277,7 +327,7 @@ void register_scenario_sweeps(Registry& r) {
                                ctx.scale.subflows);
             cfg.hotspot_fraction =
                 ctx.params.get_double("hotspot_fraction");
-            return scenario_outcome(run_scenario(cfg));
+            return scenario_outcome(cfg);
           },
   });
 
@@ -301,7 +351,7 @@ void register_scenario_sweeps(Registry& r) {
                                ctx.scale.subflows);
             cfg.short_rate_per_host =
                 ctx.scale.rate_per_host * ctx.params.get_double("rate_mult");
-            return scenario_outcome(run_scenario(cfg));
+            return scenario_outcome(cfg);
           },
       .adjust_scale = [](Scale& s) { s.shorts = s.shorts / 2; },
   });
@@ -326,7 +376,7 @@ void register_scenario_sweeps(Registry& r) {
               cfg.dual.k = ctx.scale.k;
               cfg.dual.oversubscription = ctx.scale.oversubscription;
             }
-            return scenario_outcome(run_scenario(cfg));
+            return scenario_outcome(cfg);
           },
   });
 
@@ -341,9 +391,8 @@ void register_scenario_sweeps(Registry& r) {
       .axes = fixed_axes({{"protocol", {"mptcp", "mmptcp"}}}),
       .run =
           [](const RunContext& ctx) {
-            return scenario_outcome(run_scenario(point_scenario(
-                ctx, ctx.params.get_protocol("protocol"),
-                ctx.scale.subflows)));
+            return scenario_outcome(point_scenario(
+                ctx, ctx.params.get_protocol("protocol"), ctx.scale.subflows));
           },
   });
 }
@@ -387,6 +436,7 @@ void register_ablations(Registry& r) {
             o.set("stddev_ms", fct.count() ? fct.stddev() : 0);
             o.set("p99_ms", fct.count() ? fct.percentile(99) : 0);
             o.set("completion", sc.short_completion_ratio());
+            append_run_volume(o, sc);
             return o;
           },
   });
@@ -409,14 +459,14 @@ void register_ablations(Registry& r) {
           [](const RunContext& ctx) {
             const std::string& variant = ctx.params.get("variant");
             if (variant == "pure_ps") {
-              return scenario_outcome(run_scenario(
-                  point_scenario(ctx, Protocol::kPacketScatter, 1)));
+              return scenario_outcome(
+                  point_scenario(ctx, Protocol::kPacketScatter, 1));
             }
             if (variant == "mptcp" || variant == "mptcp_reinject") {
               ScenarioConfig cfg = point_scenario(ctx, Protocol::kMptcp,
                                                   ctx.scale.subflows);
               cfg.transport.reinject_on_rto = variant == "mptcp_reinject";
-              return scenario_outcome(run_scenario(cfg));
+              return scenario_outcome(cfg);
             }
             ScenarioConfig cfg =
                 point_scenario(ctx, Protocol::kMmptcp, ctx.scale.subflows);
@@ -430,7 +480,7 @@ void register_ablations(Registry& r) {
               cfg.transport.phase.volume_bytes =
                   std::strtoull(kb.c_str(), nullptr, 10) * 1024;
             }
-            return scenario_outcome(run_scenario(cfg));
+            return scenario_outcome(cfg);
           },
   });
 }
@@ -495,6 +545,7 @@ void register_coexistence(Registry& r) {
                     g.count() ? g.percentile(95) : 0);
             }
             o.set("jain_index", jain_index(all));
+            o.events = sim.total_executed();
             return o;
           },
   });
@@ -513,13 +564,8 @@ void register_smoke(Registry& r) {
           [](const RunContext& ctx) {
             ScenarioConfig cfg = point_scenario(
                 ctx, ctx.params.get_protocol("protocol"), 4);
-            const auto wall_start = std::chrono::steady_clock::now();
             Scenario sc(cfg);
             sc.run();
-            const double wall_secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
             const Summary fct = sc.short_fct_ms();
             RunOutcome o;
             o.set("completed", double(fct.count()));
@@ -529,8 +575,8 @@ void register_smoke(Registry& r) {
             o.set("rtos", double(sc.short_flow_rtos()));
             // Control + all domain schedulers: the canary covers the
             // whole windowed execution, not just control events.
-            const double events = double(sc.sim().total_executed());
-            o.set("events", events);
+            append_run_volume(o, sc);
+            o.set("events", double(o.events));
             const std::uint64_t unroutable = sc.network().unroutable_total();
             check(unroutable == 0, "smoke run dropped unroutable packets");
             o.set("unroutable", double(unroutable));
@@ -538,11 +584,6 @@ void register_smoke(Registry& r) {
             append_flow_time_metrics(
                 o, sc.metrics().short_flow_sketches(
                        cfg.transport.protocol));
-            // Simulator throughput for per-PR trend tracking; sidecar
-            // JSON only, so the main result stays deterministic.
-            o.set_timing("events_per_second",
-                         wall_secs > 0 ? events / wall_secs : 0);
-            o.set_timing("wall_seconds", wall_secs);
             o.set_timing("sim_threads", double(ctx.sim_threads));
             append_engine_timings(o, sc);
             return o;
@@ -558,7 +599,7 @@ void register_smoke(Registry& r) {
       // Gate thresholds for --compare.  Identical code gives identical
       // bytes, so the slack only absorbs cross-compiler FP drift; any
       // intentional behaviour change must refresh bench/baselines/.
-      .tolerances =
+      .tolerances = join_tolerances({
           {
               {.pattern = "completed",
                .abs_slack = 0.5,
@@ -584,30 +625,10 @@ void register_smoke(Registry& r) {
                .fail_pct = 20,
                .abs_slack = 1,
                .direction = Dir::kHigherIsWorse},
-              // Timing sidecar aggregates: host-dependent, so CI gates
-              // them warn-only until several baselines accumulate.
-              {.pattern = "events_per_second*",
-               .warn_pct = 15,
-               .fail_pct = 40,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "wall_seconds*",
-               .warn_pct = 20,
-               .fail_pct = 60,
-               .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic for a given
-              // build and configuration.
-              {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
-              {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
-              {.pattern = "avg_active*",
-               .warn_pct = 10,
-               .fail_pct = 50,
-               .abs_slack = 0.5},
-              {.pattern = "barrier_wait_share*",
-               .warn_pct = 100,
-               .fail_pct = 1000,
-               .abs_slack = 0.2},
-              {.pattern = "sim_workers*", .warn_pct = 100, .fail_pct = 1e9},
           },
+          timing_tolerances(),
+          engine_tolerances(),
+      }),
   });
 }
 
@@ -629,25 +650,6 @@ QdiscConfig point_qdisc(const RunContext& ctx, const std::string& kind) {
   return q;
 }
 
-/// Shared incast-with-elephants grid point for the qdisc/ECN specs.
-IncastConfig incast_battle_point(const RunContext& ctx) {
-  IncastConfig cfg;
-  cfg.fat_tree.k = ctx.scale.k;
-  cfg.fat_tree.oversubscription = ctx.scale.oversubscription;
-  cfg.senders = static_cast<std::uint32_t>(ctx.params.get_int("senders"));
-  cfg.long_senders =
-      static_cast<std::uint32_t>(ctx.params.get_int("long_senders"));
-  cfg.short_start = Time::millis(ctx.params.get_int("warmup_ms"));
-  cfg.bytes = ctx.scale.short_bytes;
-  cfg.seed = ctx.seed;
-  cfg.trace = ctx.trace;
-  cfg.logger = ctx.logger;
-  // Elephants never finish; bound the run for stragglers that exhaust
-  // their SYN retries (drop-tail TCP does).
-  cfg.max_sim_time = Time::seconds(15);
-  return cfg;
-}
-
 /// Subflow pool for the ECN-aware MPTCP variants.  Loss-driven MPTCP
 /// needs many subflows because discovering a path's state costs a loss;
 /// on a marking fabric congestion is explicit, and every extra subflow
@@ -658,35 +660,10 @@ std::uint32_t ecn_subflows(const RunContext& ctx) {
   return std::min<std::uint32_t>(ctx.scale.subflows, 2);
 }
 
-/// Runs one incast grid point under wall-clock timing: `fill` writes the
-/// spec's metrics, then the shared events_per_second / wall_seconds
-/// timing sidecar is attached (sidecar only — the main JSON must stay
-/// host-independent).
-template <typename Fill>
-RunOutcome timed_incast(const IncastConfig& cfg, Fill&& fill) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const IncastResult res = run_incast(cfg);
-  const double wall_secs = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count();
-  RunOutcome o;
-  fill(o, res);
-  o.set_timing("events_per_second",
-               wall_secs > 0 ? double(res.events_executed) / wall_secs : 0);
-  o.set_timing("wall_seconds", wall_secs);
-  // Flight-recorder volume, when the run was traced.  Sidecar-only: the
-  // main JSON must not differ between traced and untraced sweeps.
-  if (res.trace_lines > 0) {
-    o.set_timing("trace_lines", double(res.trace_lines));
-    o.set_timing("trace_bytes", double(res.trace_bytes));
-  }
-  return o;
-}
-
 /// Applies a qdisc-spec transport variant name to an incast config.
 /// Loss-driven protocols keep the fabric they name (drop-tail unless the
 /// variant says otherwise); ECN-aware ones get the marking fabric.
-void apply_incast_variant(IncastConfig& cfg, const RunContext& ctx,
+void apply_incast_variant(ScenarioConfig& cfg, const RunContext& ctx,
                           const std::string& variant) {
   if (variant == "tcp") {
     cfg.transport.protocol = Protocol::kTcp;
@@ -716,6 +693,93 @@ void apply_incast_variant(IncastConfig& cfg, const RunContext& ctx,
   } else {
     throw ConfigError("unknown incast variant: " + variant);
   }
+}
+
+/// Shared incast-with-elephants grid point for the qdisc/ECN specs.
+ScenarioConfig incast_battle_point(const RunContext& ctx) {
+  ScenarioConfig cfg = burst_scenario(ctx);
+  cfg.incast_elephants =
+      static_cast<std::uint32_t>(ctx.params.get_int("long_senders"));
+  cfg.incast_start = Time::millis(ctx.params.get_int("warmup_ms"));
+  // Elephants never finish; bound the run for stragglers that exhaust
+  // their SYN retries (drop-tail TCP does).
+  cfg.max_sim_time = Time::seconds(15);
+  apply_incast_variant(cfg, ctx, ctx.params.get("variant"));
+  return cfg;
+}
+
+/// Runs one incast-battle point.  incast_ecn reports the burst's SYN
+/// timeouts after its RTOs; battle_ecn, whose verdict needs both sides
+/// to win, reports the elephants' goodput after completion instead.
+RunOutcome battle_outcome(const RunContext& ctx, bool elephant_goodput) {
+  const ScenarioConfig cfg = incast_battle_point(ctx);
+  Scenario sc(cfg);
+  sc.run();
+  const Summary fct = sc.short_fct_ms();
+  const std::uint64_t syn = sc.short_syn_timeouts();
+  const PeakQueue peak = sc.peak_switch_queue();
+  RunOutcome o;
+  o.set("mean_fct_ms", fct.count() ? fct.mean() : 0);
+  o.set("p99_fct_ms", fct.count() ? fct.percentile(99) : 0);
+  o.set("makespan_ms", sc.makespan().to_millis());
+  o.set("rtos", double(sc.short_flow_rtos() - syn));
+  if (!elephant_goodput) o.set("syn_timeouts", double(syn));
+  o.set("completion", sc.short_completion_ratio());
+  if (elephant_goodput) {
+    const Summary goodput = sc.long_goodput_mbps();
+    o.set("long_goodput_mbps", goodput.count() ? goodput.mean() : 0);
+  }
+  o.set("peak_queue_pkts", double(peak.packets));
+  o.set("peak_queue_at_ms", peak.at.to_millis());
+  o.set("ecn_marked", double(sc.ecn_marked_packets()));
+  o.set("p999_fct_ms", fct.count() ? fct.p999() : 0);
+  append_flow_time_metrics(
+      o, sc.metrics().short_flow_sketches(cfg.transport.protocol));
+  append_run_volume(o, sc);
+  return o;
+}
+
+/// Gate thresholds of the incast battles: FCT/makespan may only degrade
+/// so far; count metrics get absolute slack (they sit near zero where
+/// relative deltas explode); improvements always pass.  `own` gates the
+/// one metric a spec reports beyond the shared set, right after rtos.
+std::vector<MetricTolerance> battle_tolerances(const MetricTolerance& own) {
+  return join_tolerances({
+      {
+          {.pattern = "completion",
+           .warn_pct = 1,
+           .fail_pct = 5,
+           .direction = Dir::kLowerIsWorse},
+          {.pattern = "rtos",
+           .warn_pct = 25,
+           .fail_pct = 100,
+           .abs_slack = 3,
+           .direction = Dir::kHigherIsWorse},
+          own,
+          {.pattern = "peak_queue_pkts",
+           .warn_pct = 10,
+           .fail_pct = 30,
+           .abs_slack = 4,
+           .direction = Dir::kHigherIsWorse},
+          {.pattern = "ecn_marked", .warn_pct = 15, .fail_pct = 50,
+           .abs_slack = 10},
+          // A timestamp, not a latency: must precede the *_ms entry
+          // (whose higher-is-worse direction is wrong for it).  Wide
+          // slack — WHEN the peak lands may legitimately move even
+          // when the peak itself does not.
+          {.pattern = "peak_queue_at_ms",
+           .warn_pct = 25,
+           .fail_pct = 1000,
+           .abs_slack = 5,
+           .direction = Dir::kBoth},
+          {.pattern = "*_ms",
+           .warn_pct = 8,
+           .fail_pct = 25,
+           .abs_slack = 2,
+           .direction = Dir::kHigherIsWorse},
+      },
+      timing_tolerances(),
+  });
 }
 
 void register_qdisc(Registry& r) {
@@ -752,80 +816,16 @@ void register_qdisc(Registry& r) {
                           {"bands", {"2"}}}),
       .run =
           [](const RunContext& ctx) {
-            IncastConfig cfg = incast_battle_point(ctx);
-            apply_incast_variant(cfg, ctx, ctx.params.get("variant"));
-            return timed_incast(cfg, [](RunOutcome& o,
-                                        const IncastResult& res) {
-              o.set("mean_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.mean() : 0);
-              o.set("p99_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.percentile(99) : 0);
-              o.set("makespan_ms", res.makespan.to_millis());
-              o.set("rtos", double(res.rtos));
-              o.set("syn_timeouts", double(res.syn_timeouts));
-              o.set("completion", res.completion_ratio);
-              o.set("peak_queue_pkts", double(res.peak_queue_packets));
-              o.set("peak_queue_at_ms", res.peak_queue_at.to_millis());
-              o.set("ecn_marked", double(res.ecn_marked));
-              o.set("p999_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.p999() : 0);
-              append_flow_time_metrics(o, res.short_sketches);
-            });
+            return battle_outcome(ctx, /*elephant_goodput=*/false);
           },
       // Claim the 24-sender points before the 8-sender ones: the big
       // bursts run longest, and a straggler claimed last stretches the
       // whole sweep's tail.
       .run_cost = [](const ParamSet& p,
                      const Scale&) { return p.get_double("senders"); },
-      // Gate thresholds for --compare: FCT/makespan may only degrade so
-      // far; count metrics get absolute slack (they sit near zero where
-      // relative deltas explode); improvements always pass.
-      .tolerances =
-          {
-              {.pattern = "completion",
-               .warn_pct = 1,
-               .fail_pct = 5,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "rtos",
-               .warn_pct = 25,
-               .fail_pct = 100,
-               .abs_slack = 3,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "syn_timeouts",
-               .abs_slack = 2,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "peak_queue_pkts",
-               .warn_pct = 10,
-               .fail_pct = 30,
-               .abs_slack = 4,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "ecn_marked", .warn_pct = 15, .fail_pct = 50,
-               .abs_slack = 10},
-              // A timestamp, not a latency: must precede the *_ms entry
-              // (whose higher-is-worse direction is wrong for it).  Wide
-              // slack — WHEN the peak lands may legitimately move even
-              // when the peak itself does not.
-              {.pattern = "peak_queue_at_ms",
-               .warn_pct = 25,
-               .fail_pct = 1000,
-               .abs_slack = 5,
-               .direction = Dir::kBoth},
-              {.pattern = "*_ms",
-               .warn_pct = 8,
-               .fail_pct = 25,
-               .abs_slack = 2,
-               .direction = Dir::kHigherIsWorse},
-              // Timing sidecar aggregates (host-dependent; CI gates them
-              // warn-only).
-              {.pattern = "events_per_second*",
-               .warn_pct = 15,
-               .fail_pct = 40,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "wall_seconds*",
-               .warn_pct = 20,
-               .fail_pct = 60,
-               .direction = Dir::kHigherIsWorse},
-          },
+      .tolerances = battle_tolerances({.pattern = "syn_timeouts",
+                                       .abs_slack = 2,
+                                       .direction = Dir::kHigherIsWorse}),
   });
 
   r.add({
@@ -856,78 +856,15 @@ void register_qdisc(Registry& r) {
                           {"bands", {"2"}}}),
       .run =
           [](const RunContext& ctx) {
-            IncastConfig cfg = incast_battle_point(ctx);
-            apply_incast_variant(cfg, ctx, ctx.params.get("variant"));
-            return timed_incast(cfg, [](RunOutcome& o,
-                                        const IncastResult& res) {
-              o.set("mean_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.mean() : 0);
-              o.set("p99_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.percentile(99) : 0);
-              o.set("makespan_ms", res.makespan.to_millis());
-              o.set("rtos", double(res.rtos));
-              o.set("completion", res.completion_ratio);
-              o.set("long_goodput_mbps", res.long_goodput_mbps.count()
-                                             ? res.long_goodput_mbps.mean()
-                                             : 0);
-              o.set("peak_queue_pkts", double(res.peak_queue_packets));
-              o.set("peak_queue_at_ms", res.peak_queue_at.to_millis());
-              o.set("ecn_marked", double(res.ecn_marked));
-              o.set("p999_fct_ms",
-                    res.fct_ms.count() ? res.fct_ms.p999() : 0);
-              append_flow_time_metrics(o, res.short_sketches);
-            });
+            return battle_outcome(ctx, /*elephant_goodput=*/true);
           },
       // The battle's gated verdict: the short-flow tail, the elephants'
       // goodput and the standing queue may only degrade so far;
       // improvements always pass.
-      .tolerances =
-          {
-              {.pattern = "completion",
-               .warn_pct = 1,
-               .fail_pct = 5,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "rtos",
-               .warn_pct = 25,
-               .fail_pct = 100,
-               .abs_slack = 3,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "long_goodput_mbps",
-               .warn_pct = 8,
-               .fail_pct = 20,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "peak_queue_pkts",
-               .warn_pct = 10,
-               .fail_pct = 30,
-               .abs_slack = 4,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "ecn_marked", .warn_pct = 15, .fail_pct = 50,
-               .abs_slack = 10},
-              // A timestamp, not a latency: must precede the *_ms entry
-              // (whose higher-is-worse direction is wrong for it).  Wide
-              // slack — WHEN the peak lands may legitimately move even
-              // when the peak itself does not.
-              {.pattern = "peak_queue_at_ms",
-               .warn_pct = 25,
-               .fail_pct = 1000,
-               .abs_slack = 5,
-               .direction = Dir::kBoth},
-              {.pattern = "*_ms",
-               .warn_pct = 8,
-               .fail_pct = 25,
-               .abs_slack = 2,
-               .direction = Dir::kHigherIsWorse},
-              // Timing sidecar aggregates (host-dependent; CI gates them
-              // warn-only).
-              {.pattern = "events_per_second*",
-               .warn_pct = 15,
-               .fail_pct = 40,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "wall_seconds*",
-               .warn_pct = 20,
-               .fail_pct = 60,
-               .direction = Dir::kHigherIsWorse},
-          },
+      .tolerances = battle_tolerances({.pattern = "long_goodput_mbps",
+                                       .warn_pct = 8,
+                                       .fail_pct = 20,
+                                       .direction = Dir::kLowerIsWorse}),
   });
 
   r.add({
@@ -959,7 +896,7 @@ void register_qdisc(Registry& r) {
             // Young-flow protection that works for every transport, not
             // just the PS phase: band by stream offset.
             cfg.fat_tree.qdisc.classifier = PrioClassifierKind::kBytesSent;
-            return scenario_outcome(run_scenario(cfg));
+            return scenario_outcome(cfg);
           },
       .adjust_scale = [](Scale& s) { s.shorts = s.shorts / 4; },
   });
@@ -1008,13 +945,8 @@ void register_scale(Registry& r) {
             // agg<->core links cross domains, so this is also the
             // conservative lookahead: the window is 100 us wide.
             cfg.fat_tree.core_link_delay = Time::micros(100);
-            const auto wall_start = std::chrono::steady_clock::now();
             Scenario sc(cfg);
             sc.run();
-            const double wall_secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
             const FlowSketches& s =
                 sc.metrics().short_flow_sketches(Protocol::kMmptcp);
             RunOutcome o;
@@ -1026,8 +958,8 @@ void register_scale(Registry& r) {
             o.set("p999_ms", s.fct_ms.quantile(0.999));
             o.set("max_ms", s.fct_ms.max());
             o.set("rtos", double(sc.short_flow_rtos()));
-            const double events = double(sc.sim().total_executed());
-            o.set("events", events);
+            append_run_volume(o, sc);
+            o.set("events", double(o.events));
             const std::uint64_t unroutable = sc.network().unroutable_total();
             check(unroutable == 0,
                   "scale_sweep run dropped unroutable packets");
@@ -1037,9 +969,6 @@ void register_scale(Registry& r) {
             // Flat across the shorts axis == memory is O(live flows).
             o.set("peak_flow_slots", double(sc.metrics().flow_count()));
             append_flow_time_metrics(o, s);
-            o.set_timing("events_per_second",
-                         wall_secs > 0 ? events / wall_secs : 0);
-            o.set_timing("wall_seconds", wall_secs);
             o.set_timing("sim_threads", double(ctx.sim_threads));
             append_engine_timings(o, sc);
             // Host-dependent twin of peak_flow_slots; cumulative across
@@ -1063,7 +992,7 @@ void register_scale(Registry& r) {
           },
       .run_cost = [](const ParamSet& p,
                      const Scale&) { return p.get_double("shorts"); },
-      .tolerances =
+      .tolerances = join_tolerances({
           {
               {.pattern = "completed",
                .abs_slack = 0.5,
@@ -1097,34 +1026,14 @@ void register_scale(Registry& r) {
                .fail_pct = 20,
                .abs_slack = 1,
                .direction = Dir::kHigherIsWorse},
-              // Timing sidecar aggregates: host-dependent, gated
-              // warn-only in CI until several baselines accumulate.
-              {.pattern = "events_per_second*",
-               .warn_pct = 15,
-               .fail_pct = 40,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "wall_seconds*",
-               .warn_pct = 20,
-               .fail_pct = 60,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "peak_rss_mb*",
-               .warn_pct = 25,
-               .fail_pct = 100,
-               .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic for a given
-              // build and configuration.
-              {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
-              {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
-              {.pattern = "avg_active*",
-               .warn_pct = 10,
-               .fail_pct = 50,
-               .abs_slack = 0.5},
-              {.pattern = "barrier_wait_share*",
-               .warn_pct = 100,
-               .fail_pct = 1000,
-               .abs_slack = 0.2},
-              {.pattern = "sim_workers*", .warn_pct = 100, .fail_pct = 1e9},
           },
+          timing_tolerances(),
+          {{.pattern = "peak_rss_mb*",
+            .warn_pct = 25,
+            .fail_pct = 100,
+            .direction = Dir::kHigherIsWorse}},
+          engine_tolerances(),
+      }),
   });
 }
 

@@ -55,35 +55,6 @@ ScenarioConfig paper_scenario(const Scale& scale, Protocol proto,
   return cfg;
 }
 
-RunResult run_scenario(const ScenarioConfig& cfg) {
-  Scenario sc(cfg);
-  sc.run();
-  RunResult r;
-  if (cfg.exact_stats) {
-    r.fct_ms = sc.short_fct_ms();
-  }
-  r.short_sketches =
-      sc.metrics().short_flow_sketches(cfg.transport.protocol);
-  r.long_goodput = sc.long_goodput_mbps();
-  r.utilization = sc.network_utilization();
-  r.completion = sc.short_completion_ratio();
-  r.rtos = sc.short_flow_rtos();
-  r.flows_with_rto = sc.short_flows_with_rto();
-  r.spurious = sc.total_spurious_retransmits();
-  const auto layers = sc.layer_stats();
-  if (const auto it = layers.find(LinkLayer::kAggCore); it != layers.end()) {
-    r.core_loss = it->second.loss_rate();
-  }
-  if (const auto it = layers.find(LinkLayer::kEdgeAgg); it != layers.end()) {
-    r.agg_loss = it->second.loss_rate();
-  }
-  r.ecn_marked = sc.ecn_marked_packets();
-  r.peak_queue_pkts = sc.peak_switch_queue_packets();
-  r.unroutable = sc.network().unroutable_total();
-  r.end_time = sc.end_time();
-  return r;
-}
-
 void write_flow_csv(const Scenario& sc, const std::string& csv_path) {
   const auto shorts = sc.metrics().flows(
       [](const FlowRecord& r) { return !r.long_flow && r.is_complete(); });
@@ -95,7 +66,9 @@ void write_flow_csv(const Scenario& sc, const std::string& csv_path) {
                  rec->fct().to_millis(), rec->rto_count,
                  rec->syn_timeouts);
   }
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  const bool close_failed = std::fclose(f) != 0;
+  require(!write_failed && !close_failed, "short write to " + csv_path);
 }
 
 }  // namespace mmptcp::exp

@@ -1,7 +1,7 @@
 #pragma once
 
 // The paper's workload at a configurable scale, shared by the experiment
-// registry, the bench wrappers and the examples.  (This layer absorbed
+// registry and the mmptcp_exp command line.  (This layer absorbed
 // the old bench/common.{h,cpp} so benches no longer re-implement sweep
 // and summary plumbing.)
 //
@@ -37,31 +37,6 @@ Scale parse_scale(Flags& flags);
 /// The paper's Figure-1 scenario at the given scale.
 ScenarioConfig paper_scenario(const Scale& scale, Protocol proto,
                               std::uint32_t subflows);
-
-/// Everything the tables report about one finished run.
-struct RunResult {
-  Summary fct_ms;           ///< short-flow completion times
-  Summary long_goodput;     ///< Mb/s per long flow
-  double utilization = 0;   ///< network-wide goodput / host capacity
-  double completion = 0;    ///< fraction of shorts that completed
-  std::uint64_t rtos = 0;   ///< RTOs + SYN timeouts across shorts
-  std::uint64_t flows_with_rto = 0;
-  std::uint64_t spurious = 0;
-  double core_loss = 0;     ///< drop rate at the core layer
-  double agg_loss = 0;      ///< drop rate at the aggregation layer
-  std::uint64_t ecn_marked = 0;       ///< CE marks across all qdiscs
-  std::uint64_t peak_queue_pkts = 0;  ///< peak occupancy, switch ports
-  /// Packets whose route fell off a switch's table — a hard canary:
-  /// any nonzero value means a routing bug silently vanished traffic.
-  std::uint64_t unroutable = 0;
-  Time end_time;
-  /// Streaming FCT/budget sketches over completed shorts (always filled;
-  /// with ScenarioConfig::exact_stats=false they are the only FCT stats).
-  FlowSketches short_sketches;
-};
-
-/// Builds, runs and summarises one scenario.
-RunResult run_scenario(const ScenarioConfig& cfg);
 
 /// Writes the per-flow (flow_id, fct_ms, rtos, syn_timeouts) series of
 /// completed short flows to `csv_path`; throws ConfigError when the

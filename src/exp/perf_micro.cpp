@@ -1,10 +1,10 @@
 #include "exp/perf_micro.h"
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exp/runner.h"
 #include "net/link.h"
 #include "net/node.h"
 #include "sim/simulation.h"
@@ -12,8 +12,6 @@
 namespace mmptcp::exp {
 
 namespace {
-
-using Dir = MetricTolerance::Direction;
 
 /// Deterministic 64-bit LCG (identical on every platform, unlike
 /// std::minstd_rand's distribution helpers).
@@ -88,7 +86,8 @@ RunOutcome run_link_churn(const RunContext& ctx) {
     delivered += node->received();
   }
   RunOutcome o;
-  o.set("events", double(sim.scheduler().executed()));
+  o.events = sim.scheduler().executed();
+  o.set("events", double(o.events));
   o.set("tx_packets", double(tx));
   o.set("delivered", double(delivered));
   o.set("dropped", double(dropped));
@@ -153,7 +152,8 @@ RunOutcome run_timer_churn(const RunContext& ctx) {
     checksum ^= chain->checksum;
   }
   RunOutcome o;
-  o.set("events", double(sched.executed()));
+  o.events = sched.executed();
+  o.set("events", double(o.events));
   o.set("fires", double(fires));
   o.set("far_fires", double(far_fires));
   o.set("checksum", double(checksum));
@@ -175,36 +175,18 @@ void register_perf_micro(Registry& r) {
       .axes = fixed_axes({{"pattern", {"link", "timer"}}}),
       .run =
           [](const RunContext& ctx) {
-            const auto wall_start = std::chrono::steady_clock::now();
-            RunOutcome o = ctx.params.get("pattern") == "link"
-                               ? run_link_churn(ctx)
-                               : run_timer_churn(ctx);
-            const double wall_secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
-            o.set_timing("events_per_second",
-                         wall_secs > 0 ? o.get("events") / wall_secs : 0);
-            o.set_timing("wall_seconds", wall_secs);
-            return o;
+            return ctx.params.get("pattern") == "link"
+                       ? run_link_churn(ctx)
+                       : run_timer_churn(ctx);
           },
       // Every metric is an integer count from a deterministic run:
       // identical code must reproduce identical values, so any movement
       // is a real behaviour change that must refresh the baselines.
       // First matching pattern wins: list the timing aggregates before
       // the exact-match catch-all.
-      .tolerances =
-          {
-              {.pattern = "events_per_second*",
-               .warn_pct = 15,
-               .fail_pct = 40,
-               .direction = Dir::kLowerIsWorse},
-              {.pattern = "wall_seconds*",
-               .warn_pct = 20,
-               .fail_pct = 60,
-               .direction = Dir::kHigherIsWorse},
-              {.pattern = "*", .warn_pct = 0.1, .fail_pct = 1.0},
-          },
+      .tolerances = join_tolerances(
+          {timing_tolerances(),
+           {{.pattern = "*", .warn_pct = 0.1, .fail_pct = 1.0}}}),
   });
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <mutex>
 #include <numeric>
@@ -111,6 +112,19 @@ std::vector<std::size_t> claim_order(const ExperimentSpec& spec,
   return order;
 }
 
+/// Leads a finished run's timings with the sweep's own measurements:
+/// events_per_second when the run reported its event count, then
+/// wall_seconds.
+void lead_with_run_timings(RunOutcome& o, double wall_seconds) {
+  std::vector<std::pair<std::string, double>> lead;
+  if (o.events > 0) {
+    lead.emplace_back("events_per_second",
+                      wall_seconds > 0 ? double(o.events) / wall_seconds : 0);
+  }
+  lead.emplace_back("wall_seconds", wall_seconds);
+  o.timings.insert(o.timings.begin(), lead.begin(), lead.end());
+}
+
 }  // namespace
 
 std::string trace_file_name(const std::string& spec_name,
@@ -146,6 +160,20 @@ std::vector<RunRecord> expand(const ExperimentSpec& spec, Scale scale,
                               const SweepOptions& options) {
   if (spec.adjust_scale) spec.adjust_scale(scale);
   return expand_adjusted(spec, scale, options);
+}
+
+std::vector<MetricTolerance> timing_tolerances() {
+  using Dir = MetricTolerance::Direction;
+  return {
+      {.pattern = "events_per_second*",
+       .warn_pct = 15,
+       .fail_pct = 40,
+       .direction = Dir::kLowerIsWorse},
+      {.pattern = "wall_seconds*",
+       .warn_pct = 20,
+       .fail_pct = 60,
+       .direction = Dir::kHigherIsWorse},
+  };
 }
 
 std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
@@ -198,7 +226,11 @@ std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
         return spec.name + ": starting " + rec.id;
       });
       try {
+        const auto start = std::chrono::steady_clock::now();
         rec.outcome = spec.run(ctx);
+        const std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - start;
+        if (rec.outcome.ok) lead_with_run_timings(rec.outcome, wall.count());
       } catch (const std::exception& e) {
         rec.outcome = RunOutcome::failure(e.what());
       } catch (...) {

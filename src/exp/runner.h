@@ -84,7 +84,15 @@ std::vector<RunRecord> expand(const ExperimentSpec& spec, Scale scale,
                               const SweepOptions& options);
 
 /// Expands and executes the sweep; returns records in expansion order.
+/// Every successful run's timings start with events_per_second (when the
+/// run reported RunOutcome::events) and wall_seconds, timed around the
+/// spec's run function.
 std::vector<RunRecord> run_sweep(const ExperimentSpec& spec, Scale scale,
                                  const SweepOptions& options);
+
+/// Gates for that leading pair (events_per_second*, wall_seconds*):
+/// host-dependent, so CI gates them warn-only.  Specs that gate their
+/// timings append these to their own tolerances.
+std::vector<MetricTolerance> timing_tolerances();
 
 }  // namespace mmptcp::exp

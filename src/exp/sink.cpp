@@ -370,8 +370,12 @@ void write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   require(f != nullptr, "cannot open " + path + " for writing");
   const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  require(written == content.size(), "short write to " + path);
+  // The final flush happens in fclose: a full disk can accept every
+  // fwrite into the buffer and fail only there.
+  const bool write_failed = std::ferror(f) != 0;
+  const bool close_failed = std::fclose(f) != 0;
+  require(written == content.size() && !write_failed && !close_failed,
+          "short write to " + path);
 }
 
 std::string read_file(const std::string& path) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,15 +47,21 @@ struct RunOutcome {
   bool ok = true;
   std::string error;                                       ///< when !ok
   std::vector<std::pair<std::string, double>> metrics;
-  /// Wall-clock-derived metrics (events/s, run duration).  Kept out of
-  /// the main JSON — whose bytes must not depend on the host or thread
-  /// count — and written to a BENCH_<name>.timing.json sidecar instead.
+  /// Host- and execution-dependent metrics (wall time, engine telemetry,
+  /// peak RSS).  Kept out of the main JSON — whose bytes must not depend
+  /// on the host or thread count — and written to a
+  /// BENCH_<name>.timing.json sidecar instead.  run_sweep times every
+  /// run and puts events_per_second and wall_seconds first.
   std::vector<std::pair<std::string, double>> timings;
   /// Named quantile sketches over per-flow samples.  Deterministic, so
   /// they ride in the main JSON: the sink merges them per grid point into
   /// the document's "aggregates" section, and sharded sweeps serialise
   /// them so --merge can recombine shards byte-identically.
   std::vector<std::pair<std::string, QuantileSketch>> sketches;
+  /// Simulator events the run executed; 0 when the run reports none.
+  /// run_sweep divides it by the run's wall time for the
+  /// events_per_second timing.
+  std::uint64_t events = 0;
 
   void set(std::string name, double value) {
     metrics.emplace_back(std::move(name), value);
@@ -130,6 +137,10 @@ struct ExperimentSpec {
   /// through the same list.
   std::vector<MetricTolerance> tolerances;
 };
+
+/// Tolerance families concatenated in gate order (first match wins).
+std::vector<MetricTolerance> join_tolerances(
+    std::initializer_list<std::vector<MetricTolerance>> families);
 
 /// Convenience for specs whose axes do not depend on the scale.
 std::function<std::vector<Axis>(const Scale&)> fixed_axes(

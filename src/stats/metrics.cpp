@@ -97,8 +97,11 @@ void Metrics::retire(std::uint32_t flow_id) {
   ++retired_.flows;
   retired_.delivered_bytes += rec.delivered_bytes;
   retired_.rtos += std::uint64_t(rec.rto_count) + rec.syn_timeouts;
+  retired_.syn_timeouts += rec.syn_timeouts;
+  retired_.fast_retransmits += rec.fast_retransmits;
   if (rec.rto_count + rec.syn_timeouts > 0) ++retired_.flows_with_rto;
   retired_.spurious += rec.spurious_retransmits;
+  retired_.last_completed = std::max(retired_.last_completed, rec.completed_at);
   ++retired_by_proto_[rec.protocol];
   rec.retired = true;
   retire_queue_.emplace_back(rec.completed_at, flow_id);

@@ -63,8 +63,11 @@ struct RetiredTotals {
   std::uint64_t flows = 0;            ///< retired (completed) short flows
   std::uint64_t delivered_bytes = 0;
   std::uint64_t rtos = 0;             ///< rto_count + syn_timeouts
+  std::uint64_t syn_timeouts = 0;
+  std::uint64_t fast_retransmits = 0;
   std::uint64_t flows_with_rto = 0;
   std::uint64_t spurious = 0;
+  Time last_completed;                ///< latest completed_at
 };
 
 /// Collects flow records and protocol event counters for one run.

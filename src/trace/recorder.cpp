@@ -29,12 +29,17 @@ TraceRecorder::TraceRecorder(const TraceConfig& config) : config_(config) {
   emit(w.str());
 }
 
-TraceRecorder::~TraceRecorder() { close(); }
+TraceRecorder::~TraceRecorder() {
+  if (file_ != nullptr) std::fclose(file_);
+}
 
 void TraceRecorder::close() {
   if (file_ == nullptr) return;
-  std::fclose(file_);
+  const bool write_failed = std::ferror(file_) != 0;
+  const bool close_failed = std::fclose(file_) != 0;
   file_ = nullptr;
+  require(!write_failed && !close_failed,
+          "error writing trace file " + config_.path);
 }
 
 void TraceRecorder::emit(const std::string& line) {

@@ -68,7 +68,10 @@ class TraceRecorder {
   std::uint64_t lines() const { return lines_; }
   std::uint64_t bytes_written() const { return bytes_; }
 
-  /// Flushes and closes the stream (idempotent; the destructor calls it).
+  /// Flushes and closes the stream; throws ConfigError when a write or
+  /// the final flush failed (a full disk, say), so a run never reports a
+  /// truncated trace as written.  Idempotent.  The destructor closes an
+  /// open stream silently.
   void close();
 
  private:

@@ -37,8 +37,12 @@ void Scenario::build() {
   // must be configured before ports are wired, flow shards before the
   // first flow starts.  FatTree runs always decompose (the window
   // schedule, and therefore every result byte, is then independent of
-  // sim_threads); dual-homed stays serial until it grows a plan.
-  if (!cfg_.dual_homed) {
+  // sim_threads); dual-homed stays serial until it grows a plan.  The
+  // incast pattern stays serial too: its work converges on the
+  // receiver's pod, so windows would buy no parallelism, and the serial
+  // schedule keeps the gated incast results stable.
+  const bool incast = cfg_.incast_senders > 0;
+  if (!cfg_.dual_homed && !incast) {
     const FatTreeDomainPlan plan = FatTree::domain_plan(cfg_.fat_tree);
     if (plan.domains > 1) {
       sim_.configure_domains(plan.domains);
@@ -52,7 +56,9 @@ void Scenario::build() {
                  "mmptcp: --sim-threads %u requested but the topology "
                  "yields no parallel decomposition (%s); running serial\n",
                  cfg_.sim_threads,
-                 cfg_.dual_homed ? "dual-homed" : "zero lookahead");
+                 cfg_.dual_homed ? "dual-homed"
+                 : incast        ? "incast"
+                                 : "zero lookahead");
   }
   flows_.resize(domains_);
   if (cfg_.dual_homed) {
@@ -87,6 +93,13 @@ void Scenario::build() {
 
   const std::size_t n = net_->host_count();
   require(n >= 2, "scenario needs at least two hosts");
+  if (incast) {
+    const std::size_t needed = std::size_t{cfg_.incast_senders} +
+                               cfg_.incast_elephants + rack_hosts();
+    require(needed <= n,
+            "incast needs enough hosts outside the receiver's rack");
+    return;
+  }
   Rng topo_rng = sim_.rng().fork();
   perm_ = permutation_matrix(topo_rng, n);
 
@@ -135,13 +148,21 @@ const PathOracle& Scenario::oracle() const {
   return *dh_;
 }
 
+std::size_t Scenario::rack_hosts() const {
+  return ft_ ? ft_->hosts_per_edge() : dh_->hosts_per_pair();
+}
+
 void Scenario::run() {
-  if (cfg_.start_long_flows && !long_hosts_.empty()) start_long_flows();
-  for (std::size_t i = 0; i < short_hosts_.size(); ++i) {
-    schedule_short_arrival(i);
+  if (cfg_.incast_senders > 0) {
+    start_incast();
+  } else {
+    if (cfg_.start_long_flows && !long_hosts_.empty()) start_long_flows();
+    for (std::size_t i = 0; i < short_hosts_.size(); ++i) {
+      schedule_short_arrival(i);
+    }
+    sim_.control_scheduler().schedule(cfg_.check_interval,
+                                      [this] { periodic_check(); });
   }
-  sim_.control_scheduler().schedule(cfg_.check_interval,
-                                    [this] { periodic_check(); });
   // Tracing forces one worker: the windowed schedule is identical either
   // way, so trace and main results stay byte-equal to any thread count.
   // sim_threads == 0 means auto: one worker per hardware thread, clamped
@@ -162,6 +183,37 @@ void Scenario::run() {
   end_time_ = sim_.now();
   workers_used_ = engine.workers();
   engine_stats_ = engine.stats();
+  if (trace_) trace_->close();
+}
+
+void Scenario::start_incast() {
+  // Senders start after the receiver's rack, so every flow crosses the
+  // fabric and converges on one access link.
+  const std::size_t first = rack_hosts();
+  const auto burst = [this, first] {
+    for (std::uint32_t i = 0; i < cfg_.incast_senders; ++i) {
+      Host& src = host(first + i);
+      flows_for(src).push_back(std::make_unique<ClientFlow>(
+          sim_, metrics_, src, host(0).addr(), transport_,
+          cfg_.short_flow_bytes, /*long_flow=*/false));
+    }
+  };
+  if (cfg_.incast_start > Time::zero()) {
+    sim_.control_scheduler().schedule_at(cfg_.incast_start, burst);
+  } else {
+    burst();
+  }
+  for (std::uint32_t i = 0; i < cfg_.incast_elephants; ++i) {
+    Host& src = host(first + cfg_.incast_senders + i);
+    flows_for(src).push_back(std::make_unique<ClientFlow>(
+        sim_, metrics_, src, host(0).addr(), long_transport_,
+        ClientFlow::kLongFlow, /*long_flow=*/true));
+  }
+  // Elephants never finish, so only then does the run need a stop poll.
+  if (cfg_.incast_elephants > 0) {
+    sim_.control_scheduler().schedule(cfg_.check_interval,
+                                      [this] { periodic_check(); });
+  }
 }
 
 void Scenario::start_long_flows() {
@@ -207,11 +259,7 @@ std::size_t Scenario::pick_destination(std::size_t role_idx,
                                        std::size_t src_idx) {
   Rng& rng = hotspot_rngs_[role_idx];
   if (cfg_.hotspot_fraction > 0.0 && rng.bernoulli(cfg_.hotspot_fraction)) {
-    // Hosts are pod-major, so rack (0,0) is the index prefix.
-    const std::size_t rack =
-        ft_ ? ft_->hosts_per_edge()
-            : dh_->hosts_per_pair();
-    std::size_t dst = rng.uniform(rack);
+    std::size_t dst = rng.uniform(rack_hosts());
     if (dst == src_idx) dst = (dst + 1) % net_->host_count();
     return dst;
   }
@@ -225,27 +273,38 @@ void Scenario::periodic_check() {
   // journals flushed at the last barrier bound what is visible, which
   // can delay the stop decision by at most one lookahead window.
   if (stopped_) return;
-  const Time gc_cutoff = sim_.now() - cfg_.server_linger;
-  sinks_->gc(gc_cutoff);
-  for (auto& list : flows_) {
-    std::erase_if(list, [this](const std::unique_ptr<ClientFlow>& f) {
-      const FlowRecord& rec = metrics_.record(f->flow_id());
-      const bool reap = !rec.long_flow && rec.is_complete() && f->finished();
-      // Streaming mode: fold the finished short into the retired
-      // aggregates now (the client side is done); the slot itself is
-      // recycled below only after the server endpoint was GC'd.
-      if (reap && metrics_.streaming() && !rec.retired) {
-        metrics_.retire(f->flow_id());
-      }
-      return reap;
-    });
+  bool done = false;
+  if (cfg_.incast_senders > 0) {
+    // The burst reaps nothing: it is bounded by its sender count, and a
+    // finished MPTCP subflow can still exchange FIN packets that reaping
+    // would cancel.
+    done = metrics_.short_flows_completed() >= cfg_.incast_senders;
+  } else {
+    const Time gc_cutoff = sim_.now() - cfg_.server_linger;
+    sinks_->gc(gc_cutoff);
+    for (auto& list : flows_) {
+      std::erase_if(list, [this](const std::unique_ptr<ClientFlow>& f) {
+        const FlowRecord& rec = metrics_.record(f->flow_id());
+        const bool reap =
+            !rec.long_flow && rec.is_complete() && f->finished();
+        // Streaming mode: fold the finished short into the retired
+        // aggregates now (the client side is done); the slot itself is
+        // recycled below only after the server endpoint was GC'd.
+        if (reap && metrics_.streaming() && !rec.retired) {
+          metrics_.retire(f->flow_id());
+        }
+        return reap;
+      });
+    }
+    if (metrics_.streaming()) metrics_.recycle_before(gc_cutoff);
+    // O(1) stop condition: every requested short started and completed
+    // (started/completed counters include retired flows by construction).
+    done = shorts_started() >= cfg_.short_flow_count &&
+           metrics_.short_flows_started() >= cfg_.short_flow_count &&
+           metrics_.short_flows_completed() ==
+               metrics_.short_flows_started();
   }
-  if (metrics_.streaming()) metrics_.recycle_before(gc_cutoff);
-  // O(1) stop condition: every requested short started and completed
-  // (started/completed counters include retired flows by construction).
-  if (shorts_started() >= cfg_.short_flow_count &&
-      metrics_.short_flows_started() >= cfg_.short_flow_count &&
-      metrics_.short_flows_completed() == metrics_.short_flows_started()) {
+  if (done) {
     stopped_ = true;
     sim_.scheduler().stop();
     return;
@@ -296,6 +355,32 @@ std::uint64_t Scenario::short_flow_rtos() const {
              [](const FlowRecord& r) { return !r.long_flow; });
 }
 
+std::uint64_t Scenario::short_syn_timeouts() const {
+  return metrics_.retired().syn_timeouts +
+         metrics_.total(
+             [](const FlowRecord& r) { return std::uint64_t(r.syn_timeouts); },
+             [](const FlowRecord& r) { return !r.long_flow; });
+}
+
+std::uint64_t Scenario::short_fast_retransmits() const {
+  return metrics_.retired().fast_retransmits +
+         metrics_.total(
+             [](const FlowRecord& r) {
+               return std::uint64_t(r.fast_retransmits);
+             },
+             [](const FlowRecord& r) { return !r.long_flow; });
+}
+
+Time Scenario::makespan() const {
+  Time last = metrics_.retired().last_completed;
+  for (const auto* rec : metrics_.flows()) {
+    if (!rec->long_flow && rec->is_complete()) {
+      last = std::max(last, rec->completed_at);
+    }
+  }
+  return last;
+}
+
 std::uint64_t Scenario::short_flows_with_rto() const {
   return metrics_.retired().flows_with_rto +
          metrics_.total(
@@ -321,111 +406,6 @@ std::uint64_t Scenario::peak_switch_queue_packets() const {
 
 PeakQueue Scenario::peak_switch_queue() const {
   return mmptcp::peak_switch_queue(*net_);
-}
-
-namespace {
-
-/// Stops `sim` once all `expected_shorts` completed (elephants never do).
-/// The completion counter is exact here: the run is serial, so nothing
-/// is journaled, and it never streams, so nothing is retired.
-void poll_incast_done(Simulation& sim, const Metrics& metrics,
-                      std::uint32_t expected_shorts, Time interval) {
-  if (metrics.short_flows_completed() >= expected_shorts) {
-    sim.scheduler().stop();
-    return;
-  }
-  sim.scheduler().schedule(interval, [&sim, &metrics, expected_shorts,
-                                      interval] {
-    poll_incast_done(sim, metrics, expected_shorts, interval);
-  });
-}
-
-}  // namespace
-
-IncastResult run_incast(const IncastConfig& config) {
-  Simulation sim(config.seed, config.logger);
-  std::unique_ptr<TraceRecorder> trace;
-  if (config.trace.enabled()) {
-    trace = std::make_unique<TraceRecorder>(config.trace);
-    sim.set_trace(trace.get(), trace->channels());
-  }
-  FatTree ft(sim, config.fat_tree);
-  Metrics metrics;
-  std::unique_ptr<TraceSampler> sampler;
-  if (trace && (trace->wants(kTraceQueue) || trace->wants(kTraceSched))) {
-    sampler = std::make_unique<TraceSampler>(sim, *trace, ft.network());
-    sampler->start();
-  }
-  require(config.senders + config.long_senders + ft.hosts_per_edge() <=
-              ft.host_count(),
-          "incast needs enough hosts outside the receiver's rack");
-
-  TransportConfig transport = config.transport;
-  transport.oracle = &ft;
-
-  Sink sink(sim, metrics, ft.host(0), transport.server_port, transport.tcp);
-  const Addr receiver = ft.host(0).addr();
-
-  std::vector<std::unique_ptr<ClientFlow>> flows;
-  // Senders start after the hosts under the receiver's rack, so every
-  // flow crosses the fabric and converges on one access link.
-  const std::size_t first = ft.hosts_per_edge();
-  const auto start_shorts = [&] {
-    for (std::uint32_t i = 0; i < config.senders; ++i) {
-      Host& src = ft.host(first + i);
-      flows.push_back(std::make_unique<ClientFlow>(
-          sim, metrics, src, receiver, transport, config.bytes,
-          /*long_flow=*/false));
-    }
-  };
-  if (config.short_start.ns() > 0) {
-    sim.scheduler().schedule_at(config.short_start, start_shorts);
-  } else {
-    start_shorts();
-  }
-  // Background elephants occupy the hosts after the burst senders.
-  for (std::uint32_t i = 0; i < config.long_senders; ++i) {
-    Host& src = ft.host(first + config.senders + i);
-    flows.push_back(std::make_unique<ClientFlow>(
-        sim, metrics, src, receiver, transport, ClientFlow::kLongFlow,
-        /*long_flow=*/true));
-  }
-  if (config.long_senders > 0) {
-    sim.scheduler().schedule(config.check_interval, [&] {
-      poll_incast_done(sim, metrics, config.senders, config.check_interval);
-    });
-  }
-  sim.scheduler().run_until(config.max_sim_time);
-
-  IncastResult result;
-  if (config.exact_stats) {
-    result.fct_ms = metrics.short_flow_fct_ms(transport.protocol);
-  }
-  result.short_sketches = metrics.short_flow_sketches(transport.protocol);
-  Time last = Time::zero();
-  for (const auto* rec : metrics.flows()) {
-    if (rec->long_flow) continue;
-    result.rtos += rec->rto_count;
-    result.syn_timeouts += rec->syn_timeouts;
-    result.fast_retransmits += rec->fast_retransmits;
-    if (rec->is_complete()) last = std::max(last, rec->completed_at);
-  }
-  result.completion_ratio =
-      metrics.short_flow_completion_ratio(transport.protocol);
-  result.makespan = last;
-  result.long_goodput_mbps =
-      metrics.long_flow_goodput_mbps(transport.protocol, sim.now());
-  result.ecn_marked = total_marked_packets(ft.network());
-  const PeakQueue peak = peak_switch_queue(ft.network());
-  result.peak_queue_packets = peak.packets;
-  result.peak_queue_at = peak.at;
-  result.events_executed = sim.total_executed();
-  if (trace) {
-    trace->close();
-    result.trace_lines = trace->lines();
-    result.trace_bytes = trace->bytes_written();
-  }
-  return result;
 }
 
 }  // namespace mmptcp

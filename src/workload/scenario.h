@@ -13,6 +13,11 @@
 // loss rates, long-flow goodput, network utilisation).  The roadmap's
 // hotspot experiment is a knob (a fraction of shorts is redirected at one
 // rack), as is the dual-homed topology.
+//
+// The paper's objective (3), "tolerance to sudden and high bursts of
+// traffic", is the second workload pattern: a synchronized N-to-1 burst
+// (incast) into host 0, optionally against background elephants into
+// the same receiver (ScenarioConfig::incast_senders).
 
 #include <map>
 #include <memory>
@@ -57,6 +62,26 @@ struct ScenarioConfig {
   /// roadmap's hotspot experiment.  0 disables.
   double hotspot_fraction = 0.0;
 
+  // --- N-to-1 burst (incast) pattern ---
+  /// Nonzero replaces the Poisson mix above: this many senders, on the
+  /// hosts after the receiver's rack, each send one short_flow_bytes
+  /// flow to host 0, so every flow crosses the fabric and converges on
+  /// one access link.  The run stays undecomposed (serial); of the
+  /// roles & workload fields above only short_flow_bytes applies.
+  std::uint32_t incast_senders = 0;
+  /// Background elephants into the same receiver, on the hosts after the
+  /// burst senders, started at t=0.  They make the qdisc comparison bite:
+  /// drop-tail lets them keep a standing queue the burst must fight
+  /// through.  With elephants running the run stops once every burst
+  /// flow completed (polled every check_interval); without them it ends
+  /// when no event is left.
+  std::uint32_t incast_elephants = 0;
+  /// When the burst starts (zero: together with the elephants).  A
+  /// warmup lets the elephants build their standing queue (and, under
+  /// MMPTCP, finish the PS->MPTCP phase switch), so the burst meets the
+  /// queue a real incast meets.
+  Time incast_start = Time::zero();
+
   // --- control ---
   std::uint64_t seed = 1;
   /// Worker threads for domain-parallel event execution.  FatTree runs
@@ -65,8 +90,9 @@ struct ScenarioConfig {
   /// this only sets how many threads run the window, so the main
   /// results are byte-identical at any value.  0 means auto:
   /// hardware_concurrency, clamped (loudly) to the domain count.
-  /// Forced to 1 when tracing (identical schedule either way) and for
-  /// dual-homed topologies (no decomposition yet).
+  /// Forced to 1 when tracing (identical schedule either way), for
+  /// dual-homed topologies (no decomposition yet) and for the incast
+  /// pattern.
   unsigned sim_threads = 1;
   Time max_sim_time = Time::seconds(120);
   Time check_interval = Time::millis(50);
@@ -101,7 +127,8 @@ class Scenario {
   Scenario& operator=(const Scenario&) = delete;
 
   /// Runs until every short flow completed (checked periodically) or
-  /// max_sim_time, whichever first.
+  /// max_sim_time, whichever first, then closes the flight recorder
+  /// (throws ConfigError when the trace could not be written).
   void run();
 
   // ---- accessors ----
@@ -141,6 +168,11 @@ class Scenario {
   double short_completion_ratio() const;
   /// Total RTOs (and SYN timeouts) across short flows.
   std::uint64_t short_flow_rtos() const;
+  /// The SYN timeouts among short_flow_rtos().
+  std::uint64_t short_syn_timeouts() const;
+  std::uint64_t short_fast_retransmits() const;
+  /// Completion time of the last short flow (zero when none completed).
+  Time makespan() const;
   std::uint64_t short_flows_with_rto() const;
   std::uint64_t total_spurious_retransmits() const;
   /// CE marks set by all qdiscs in the network.
@@ -150,15 +182,19 @@ class Scenario {
   /// Peak switch queue occupancy with the time it was first reached.
   PeakQueue peak_switch_queue() const;
   /// The run's flight recorder, or null when tracing is off.
-  TraceRecorder* trace() { return trace_.get(); }
+  const TraceRecorder* trace() const { return trace_.get(); }
 
  private:
   void build();
+  void start_incast();
   void start_long_flows();
   void schedule_short_arrival(std::size_t role_idx);
   void start_short_flow(std::size_t role_idx);
   std::size_t pick_destination(std::size_t role_idx, std::size_t src_idx);
   void periodic_check();
+  /// Hosts under one edge switch (or dual-homed pair); hosts are
+  /// pod-major, so rack (0,0) is the index prefix [0, rack_hosts()).
+  std::size_t rack_hosts() const;
   Host& host(std::size_t i) { return net_->host(i); }
   /// Flow list owned by `h`'s domain (index 0 when the run is serial).
   /// Only ever pushed from `h`'s own scheduler.
@@ -199,60 +235,5 @@ class Scenario {
   bool stopped_ = false;
   std::unique_ptr<TraceSampler> sampler_;  ///< periodic queue/sched snapshots
 };
-
-/// N-to-1 synchronized burst — the paper's objective (3), "tolerance to
-/// sudden and high bursts of traffic".
-struct IncastConfig {
-  FatTreeConfig fat_tree{.k = 4, .oversubscription = 4};
-  TransportConfig transport{};
-  std::uint32_t senders = 32;
-  std::uint64_t bytes = 70 * 1024;
-  /// Background elephants into the same receiver (same transport as the
-  /// shorts); they make the qdisc comparison bite: drop-tail lets them
-  /// keep a standing queue the burst must fight through.  With elephants
-  /// running the simulation stops once every short completed.
-  std::uint32_t long_senders = 0;
-  /// Delay before the burst starts (elephants start at t=0).  A warmup
-  /// lets the elephants build their standing queue — and, under MMPTCP,
-  /// finish the PS->MPTCP phase switch — so the burst meets the queue a
-  /// real incast meets.  Zero starts everything together.
-  Time short_start = Time::zero();
-  Time check_interval = Time::millis(10);  ///< completion poll (elephants)
-  std::uint64_t seed = 1;
-  Time max_sim_time = Time::seconds(60);
-  /// Flight recorder + component logger (see ScenarioConfig).
-  TraceConfig trace{};
-  Logger logger{};
-  /// See ScenarioConfig::exact_stats.
-  bool exact_stats = true;
-};
-
-/// Outcome of one incast run (all flow counters cover short flows only).
-struct IncastResult {
-  Summary fct_ms;
-  std::uint64_t rtos = 0;
-  std::uint64_t syn_timeouts = 0;
-  std::uint64_t fast_retransmits = 0;
-  double completion_ratio = 0.0;
-  Time makespan;  ///< last completion time
-  /// Per-elephant goodput (Mb/s over each long flow's lifetime); empty
-  /// when the run has no long senders.
-  Summary long_goodput_mbps;
-  std::uint64_t ecn_marked = 0;          ///< CE marks across all qdiscs
-  std::uint64_t peak_queue_packets = 0;  ///< max occupancy over switch ports
-  Time peak_queue_at;                    ///< when that peak was first reached
-  /// Scheduler events the run executed.  Deterministic; specs divide it
-  /// by wall time for the events_per_second timing sidecar.
-  std::uint64_t events_executed = 0;
-  /// Flight-recorder volume (zero when tracing was off).
-  std::uint64_t trace_lines = 0;
-  std::uint64_t trace_bytes = 0;
-  /// Streaming FCT/budget sketches over completed shorts (always filled).
-  FlowSketches short_sketches;
-};
-
-/// Runs the incast microbenchmark (receiver = host 0; senders spread over
-/// the remaining racks, all starting at t = 0).
-IncastResult run_incast(const IncastConfig& config);
 
 }  // namespace mmptcp

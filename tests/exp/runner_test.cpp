@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
 
 #include "exp/registry.h"
 #include "exp/sink.h"
+#include "util/check.h"
 
 namespace mmptcp::exp {
 namespace {
@@ -98,6 +100,44 @@ TEST(Runner, ActuallyRunsConcurrently) {
   options.jobs = 4;
   run_sweep(spec, Scale{}, options);
   EXPECT_GT(peak.load(), 1);
+}
+
+TEST(Runner, EveryRunIsTimedAndThroughputFollowsFromItsEvents) {
+  ExperimentSpec spec;
+  spec.name = "counted";
+  spec.axes = fixed_axes({{"i", {"1", "2", "3"}}});
+  spec.run = [](const RunContext& ctx) {
+    RunOutcome o;
+    o.set("v", 1);
+    // Even points report their event count and a timing of their own;
+    // odd ones set neither.
+    if (ctx.params.get_int("i") % 2 == 0) {
+      o.events = 1000;
+      o.set_timing("own", 7);
+    }
+    return o;
+  };
+  const auto records = run_sweep(spec, Scale{}, SweepOptions{});
+  ASSERT_EQ(records.size(), 3u);
+  for (const RunRecord& rec : records) {
+    ASSERT_TRUE(rec.outcome.ok) << rec.id;
+    const auto& t = rec.outcome.timings;
+    const bool counted = rec.outcome.events > 0;
+    // The sweep's own measurements lead; the spec's timings follow.
+    ASSERT_EQ(t.size(), counted ? 3u : 1u) << rec.id;
+    const auto& [wall_name, wall] = t[counted ? 1 : 0];
+    EXPECT_EQ(wall_name, "wall_seconds") << rec.id;
+    EXPECT_GE(wall, 0.0) << rec.id;
+    if (counted) {
+      EXPECT_EQ(t[0].first, "events_per_second") << rec.id;
+      ASSERT_GT(wall, 0.0) << rec.id;
+      EXPECT_DOUBLE_EQ(t[0].second, 1000.0 / wall) << rec.id;
+      EXPECT_EQ(t[2].first, "own") << rec.id;
+    }
+  }
+  // Wall time never reaches the deterministic document.
+  EXPECT_EQ(to_json(spec, Scale{}, records).find("wall_seconds"),
+            std::string::npos);
 }
 
 TEST(Runner, FailureIsIsolated) {
@@ -226,11 +266,26 @@ TEST(Sink, TimingsGoToTheSidecarNotTheMainJson) {
   EXPECT_NE(timing.find("aggregate"), std::string::npos);
   EXPECT_NE(timing.find("events_per_second_mean"), std::string::npos);
 
-  // Specs without timings produce no sidecar at all.
+  // Every spec gets a sidecar: run_sweep times each run itself, so even
+  // a spec that sets no timing has one entry per run.
   const ExperimentSpec plain = synthetic_spec();
-  EXPECT_TRUE(
-      to_timing_json(plain, run_sweep(plain, Scale{}, SweepOptions{}))
-          .empty());
+  const auto plain_records = run_sweep(plain, Scale{}, SweepOptions{});
+  const std::string plain_timing = to_timing_json(plain, plain_records);
+  EXPECT_NE(plain_timing.find("wall_seconds_mean"), std::string::npos);
+  for (const RunRecord& rec : plain_records) {
+    EXPECT_NE(plain_timing.find("\"" + rec.id + "\""), std::string::npos);
+  }
+}
+
+TEST(Sink, WriteFileReportsAFailedFinalFlush) {
+  // /dev/full accepts every buffered fwrite and fails only the flush in
+  // fclose: a document lost there must not be reported as written.
+  if (std::FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  EXPECT_THROW(write_file("/dev/full", "{}"), ConfigError);
 }
 
 TEST(Sink, AggregateTableAveragesOverSeeds) {

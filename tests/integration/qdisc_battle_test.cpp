@@ -11,34 +11,39 @@
 namespace mmptcp {
 namespace {
 
-IncastConfig battle_config() {
-  IncastConfig cfg;
-  cfg.senders = 8;
-  cfg.long_senders = 2;
-  cfg.short_start = Time::millis(300);  // elephants build their queue first
+ScenarioConfig battle_config() {
+  ScenarioConfig cfg;
+  cfg.incast_senders = 8;
+  cfg.incast_elephants = 2;
+  cfg.incast_start = Time::millis(300);  // elephants build their queue first
+  cfg.check_interval = Time::millis(10);
   cfg.max_sim_time = Time::seconds(15);
   cfg.seed = 3;
   return cfg;
 }
 
 TEST(QdiscBattle, DctcpKeepsQueuesShallowerThanDropTailTcp) {
-  IncastConfig droptail = battle_config();
+  ScenarioConfig droptail = battle_config();
   droptail.transport.protocol = Protocol::kTcp;
-  const IncastResult dt = run_incast(droptail);
-  EXPECT_EQ(dt.ecn_marked, 0u);  // no marking qdisc, no ECN anywhere
+  Scenario dt(droptail);
+  dt.run();
+  // No marking qdisc, no ECN anywhere.
+  EXPECT_EQ(dt.ecn_marked_packets(), 0u);
 
-  IncastConfig ecn = battle_config();
+  ScenarioConfig ecn = battle_config();
   ecn.transport.protocol = Protocol::kDctcp;
   ecn.fat_tree.qdisc.kind = QdiscKind::kEcnRed;
   ecn.fat_tree.qdisc.ecn_threshold_packets = 20;
-  const IncastResult dc = run_incast(ecn);
+  Scenario dc(ecn);
+  dc.run();
 
-  EXPECT_GT(dc.ecn_marked, 0u);  // ECT round-tripped through the fabric
-  EXPECT_EQ(dc.completion_ratio, 1.0);
-  EXPECT_LT(dc.peak_queue_packets, dt.peak_queue_packets);
-  if (dt.completion_ratio == 1.0 && dt.fct_ms.count() > 0 &&
-      dc.fct_ms.count() > 0) {
-    EXPECT_LT(dc.fct_ms.mean(), dt.fct_ms.mean());
+  // ECT round-tripped through the fabric.
+  EXPECT_GT(dc.ecn_marked_packets(), 0u);
+  EXPECT_EQ(dc.short_completion_ratio(), 1.0);
+  EXPECT_LT(dc.peak_switch_queue_packets(), dt.peak_switch_queue_packets());
+  if (dt.short_completion_ratio() == 1.0 && dt.short_fct_ms().count() > 0 &&
+      dc.short_fct_ms().count() > 0) {
+    EXPECT_LT(dc.short_fct_ms().mean(), dt.short_fct_ms().mean());
   }
 }
 
@@ -46,23 +51,25 @@ TEST(QdiscBattle, PriorityBandsImproveShortFlowFctUnderMmptcp) {
   // Four elephants instead of battle_config's two: with only two, some
   // seeds leave the receiver downlink with no standing queue during the
   // burst and both qdiscs measure identical FCTs.
-  IncastConfig droptail = battle_config();
-  droptail.long_senders = 4;
+  ScenarioConfig droptail = battle_config();
+  droptail.incast_elephants = 4;
   droptail.transport.protocol = Protocol::kMmptcp;
-  const IncastResult dt = run_incast(droptail);
+  Scenario dt(droptail);
+  dt.run();
 
-  IncastConfig prio = battle_config();
-  prio.long_senders = 4;
+  ScenarioConfig prio = battle_config();
+  prio.incast_elephants = 4;
   prio.transport.protocol = Protocol::kMmptcp;
   prio.fat_tree.qdisc.kind = QdiscKind::kPriority;
   prio.fat_tree.qdisc.bands = 2;
   prio.fat_tree.qdisc.classifier = PrioClassifierKind::kPsFlag;
-  const IncastResult pr = run_incast(prio);
+  Scenario pr(prio);
+  pr.run();
 
-  ASSERT_GT(dt.fct_ms.count(), 0u);
-  ASSERT_GT(pr.fct_ms.count(), 0u);
-  EXPECT_EQ(pr.completion_ratio, 1.0);
-  EXPECT_LT(pr.fct_ms.mean(), dt.fct_ms.mean());
+  ASSERT_GT(dt.short_fct_ms().count(), 0u);
+  ASSERT_GT(pr.short_fct_ms().count(), 0u);
+  EXPECT_EQ(pr.short_completion_ratio(), 1.0);
+  EXPECT_LT(pr.short_fct_ms().mean(), dt.short_fct_ms().mean());
 }
 
 /// The PR 5 acceptance point: at a fan-in past the drop-tail cap, the
@@ -71,48 +78,54 @@ TEST(QdiscBattle, PriorityBandsImproveShortFlowFctUnderMmptcp) {
 /// peak queue on every gated seed, while the elephants keep goodput.
 TEST(QdiscBattle, MmptcpDctcpWinsTheHighFanInBattleOnEverySeed) {
   for (std::uint64_t seed : {1u, 3u}) {
-    IncastConfig blind = battle_config();
+    ScenarioConfig blind = battle_config();
     blind.seed = seed;
-    blind.senders = 24;
-    blind.long_senders = 4;
+    blind.incast_senders = 24;
+    blind.incast_elephants = 4;
     blind.transport.protocol = Protocol::kMmptcp;
     blind.transport.subflows = 8;
     // Marking fabric for both: non-ECT traffic just sees drop-tail.
     blind.fat_tree.qdisc.kind = QdiscKind::kEcnRed;
     blind.fat_tree.qdisc.ecn_threshold_packets = 20;
-    const IncastResult bl = run_incast(blind);
-    EXPECT_EQ(bl.ecn_marked, 0u) << "ECN-blind family must not set ECT";
+    Scenario bl(blind);
+    bl.run();
+    EXPECT_EQ(bl.ecn_marked_packets(), 0u)
+        << "ECN-blind family must not set ECT";
 
-    IncastConfig aware = blind;
+    ScenarioConfig aware = blind;
     aware.transport.protocol = Protocol::kMmptcpDctcp;
     aware.transport.subflows = 2;  // the lean ECN pool the specs use
-    const IncastResult aw = run_incast(aware);
+    Scenario aw(aware);
+    aw.run();
 
-    ASSERT_GT(bl.fct_ms.count(), 0u);
-    ASSERT_GT(aw.fct_ms.count(), 0u);
-    EXPECT_GT(aw.ecn_marked, 0u);
-    EXPECT_EQ(aw.completion_ratio, 1.0);
-    EXPECT_LT(aw.fct_ms.mean(), bl.fct_ms.mean()) << "seed " << seed;
-    EXPECT_LT(aw.peak_queue_packets, bl.peak_queue_packets)
+    ASSERT_GT(bl.short_fct_ms().count(), 0u);
+    ASSERT_GT(aw.short_fct_ms().count(), 0u);
+    EXPECT_GT(aw.ecn_marked_packets(), 0u);
+    EXPECT_EQ(aw.short_completion_ratio(), 1.0);
+    EXPECT_LT(aw.short_fct_ms().mean(), bl.short_fct_ms().mean())
+        << "seed " << seed;
+    EXPECT_LT(aw.peak_switch_queue_packets(), bl.peak_switch_queue_packets())
         << "seed " << seed;
     // The elephants win too: no RTO-silenced subflows, so their goodput
     // must not fall below the blind family's.
-    ASSERT_GT(aw.long_goodput_mbps.count(), 0u);
-    ASSERT_GT(bl.long_goodput_mbps.count(), 0u);
-    EXPECT_GE(aw.long_goodput_mbps.mean(), bl.long_goodput_mbps.mean())
+    ASSERT_GT(aw.long_goodput_mbps().count(), 0u);
+    ASSERT_GT(bl.long_goodput_mbps().count(), 0u);
+    EXPECT_GE(aw.long_goodput_mbps().mean(), bl.long_goodput_mbps().mean())
         << "seed " << seed;
   }
 }
 
 TEST(QdiscBattle, DelayedBurstStillCompletesWithoutElephants) {
-  // short_start + the completion poll must compose with long_senders = 0.
-  IncastConfig cfg;
-  cfg.senders = 4;
-  cfg.short_start = Time::millis(50);
+  // incast_start + the completion poll must compose with no elephants.
+  ScenarioConfig cfg;
+  cfg.incast_senders = 4;
+  cfg.incast_start = Time::millis(50);
+  cfg.max_sim_time = Time::seconds(60);
   cfg.transport.protocol = Protocol::kTcp;
-  const IncastResult res = run_incast(cfg);
-  EXPECT_EQ(res.completion_ratio, 1.0);
-  EXPECT_GT(res.makespan.to_millis(), 50.0);
+  Scenario sc(cfg);
+  sc.run();
+  EXPECT_EQ(sc.short_completion_ratio(), 1.0);
+  EXPECT_GT(sc.makespan().to_millis(), 50.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
@@ -142,6 +143,20 @@ TEST(TraceRecorderTest, RefusesDisabledConfigAndUnwritablePath) {
   EXPECT_THROW(TraceRecorder{bad}, ConfigError);
 }
 
+TEST(TraceRecorderTest, CloseReportsAFailedFinalFlush) {
+  // /dev/full takes the buffered header and fails only the final flush.
+  TraceConfig full = test_config("x.jsonl", kTraceQueue);
+  full.path = "/dev/full";
+  if (std::FILE* probe = std::fopen(full.path.c_str(), "w")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  TraceRecorder rec(full);
+  EXPECT_THROW(rec.close(), ConfigError);
+  rec.close();  // idempotent once closed
+}
+
 // ------------------------------------------------------------- port events
 
 /// Swallows deliveries so a Port/Channel pair can run standalone.
@@ -267,11 +282,13 @@ TEST(PacketTapLib, ObservesEveryOfferAndDropsByPredicate) {
 // ------------------------------------------------- end-to-end incast trace
 
 TEST(TraceIncast, RecordsEveryChannelWithMonotonicTimestamps) {
-  IncastConfig cfg;
-  cfg.senders = 6;
-  cfg.long_senders = 2;
-  cfg.bytes = 30 * 1024;
-  cfg.short_start = Time::millis(30);
+  ScenarioConfig cfg;
+  cfg.incast_senders = 6;
+  cfg.incast_elephants = 2;
+  cfg.short_flow_bytes = 30 * 1024;
+  cfg.incast_start = Time::millis(30);
+  cfg.check_interval = Time::millis(10);
+  cfg.max_sim_time = Time::seconds(60);
   cfg.transport.protocol = Protocol::kMmptcpDctcp;
   cfg.transport.subflows = 2;
   // Switch well below the short-flow size so phase events are guaranteed.
@@ -281,16 +298,18 @@ TEST(TraceIncast, RecordsEveryChannelWithMonotonicTimestamps) {
   cfg.trace = test_config("incast_all.jsonl", kTraceAllChannels);
   cfg.trace.experiment = "incast_unit";
 
-  const IncastResult res = run_incast(cfg);
-  EXPECT_EQ(res.completion_ratio, 1.0);
+  Scenario sc(cfg);
+  sc.run();
+  EXPECT_EQ(sc.short_completion_ratio(), 1.0);
 
   const auto lines = read_lines(cfg.trace.path);
   ASSERT_GT(lines.size(), 1u);
-  // Run telemetry matches the file exactly.
-  EXPECT_EQ(res.trace_lines, lines.size());
+  // Run telemetry matches the file exactly: run() closed the recorder.
+  ASSERT_NE(sc.trace(), nullptr);
+  EXPECT_EQ(sc.trace()->lines(), lines.size());
   std::uint64_t bytes = 0;
   for (const auto& l : lines) bytes += l.size() + 1;
-  EXPECT_EQ(res.trace_bytes, bytes);
+  EXPECT_EQ(sc.trace()->bytes_written(), bytes);
 
   bool queue = false, cwnd = false, phase = false, sched = false;
   bool subflow_sample = false, alpha = false;
@@ -336,14 +355,16 @@ TEST(TraceIncast, RecordsEveryChannelWithMonotonicTimestamps) {
 
 // A channel filter keeps every other channel out of the file entirely.
 TEST(TraceIncast, ChannelFilterSuppressesUnselectedChannels) {
-  IncastConfig cfg;
-  cfg.senders = 4;
-  cfg.bytes = 20 * 1024;
+  ScenarioConfig cfg;
+  cfg.incast_senders = 4;
+  cfg.short_flow_bytes = 20 * 1024;
+  cfg.max_sim_time = Time::seconds(60);
   cfg.transport.protocol = Protocol::kTcp;
   cfg.trace = test_config("incast_queue_only.jsonl", kTraceQueue);
 
-  const IncastResult res = run_incast(cfg);
-  EXPECT_GT(res.trace_lines, 0u);
+  Scenario sc(cfg);
+  sc.run();
+  EXPECT_GT(sc.trace()->lines(), 0u);
   const auto lines = read_lines(cfg.trace.path);
   for (std::size_t i = 1; i < lines.size(); ++i) {
     EXPECT_TRUE(contains(lines[i], "\"ch\":\"queue\"")) << lines[i];
